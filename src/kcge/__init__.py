@@ -73,6 +73,7 @@ from .states import (
     cluster_from_epr,
     dicke,
     dicke_cge_formula,
+    dicke_level_exact,
     epr_pair,
     excitation_count,
     family_from_dict,
@@ -84,11 +85,11 @@ from .states import (
 )
 from .witness import (
     WitnessSpec,
+    exact_radius,
+    exact_witness,
     ghz_witness,
     radius_ghz,
     radius_w4,
-    sample_radius_lower_bound,
-    sampled_witness,
     w4_visibility_curves,
     w4_witness,
     werner_state,

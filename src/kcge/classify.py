@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -94,17 +92,10 @@ class ClassificationReport:
         }
 
 
-def _check_subset(state, members, tol):
-    threshold = subset_threshold(state.dims, members)
-    rank = schmidt_rank(state, PartySubset(members, state.n), tol)
-    return rank, threshold
-
-
 def is_k_cge(
     state: PureState,
     k: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    workers: int = 1,
     budget_dim: int = DIM_BUDGET,
 ) -> LevelVerdict:
     """Verdict for one level: True when every size-k subset has rank above
@@ -114,32 +105,18 @@ def is_k_cge(
     if not 1 <= k <= n // 2:
         raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
     check_budget(state, budget_dim)
-    combos = itertools.combinations(range(n), k)
-    if workers <= 1:
-        for members in combos:
-            rank, threshold = _check_subset(state, members, tol)
-            if rank <= threshold:
-                return LevelVerdict(k, False, members, rank, threshold)
-        return LevelVerdict(k, True)
-    # Parallel path: evaluate fixed-size batches in subset order and reduce
-    # within each batch by that order, so the verdict matches the sequential
-    # scan exactly.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            batch = list(itertools.islice(combos, 8 * workers))
-            if not batch:
-                return LevelVerdict(k, True)
-            results = list(pool.map(lambda m: _check_subset(state, m, tol), batch))
-            for members, (rank, threshold) in zip(batch, results):
-                if rank <= threshold:
-                    return LevelVerdict(k, False, members, rank, threshold)
+    for members in itertools.combinations(range(n), k):
+        threshold = subset_threshold(state.dims, members)
+        rank = schmidt_rank(state, PartySubset(members, n), tol)
+        if rank <= threshold:
+            return LevelVerdict(k, False, members, rank, threshold)
+    return LevelVerdict(k, True)
 
 
 def classify(
     state: PureState,
     tol: Tolerance = DEFAULT_TOLERANCE,
     max_k: int | None = None,
-    workers: int = 1,
     budget_dim: int = DIM_BUDGET,
 ) -> ClassificationReport:
     """Largest k for which the state is k-CGE (0 = biseparable).
@@ -157,22 +134,17 @@ def classify(
     thresholds: list[tuple[int, int]] = []
     level = 0
     failed = False
-    uniform = len(set(state.dims)) == 1
+    descending = sorted(state.dims, reverse=True)
     for k in range(1, k_cap + 1):
-        # Reported per-level threshold: d^(k-1) for uniform dims; for mixed
-        # dims the strictest subset threshold at that size (per-subset
-        # values appear with any witness).
-        if uniform:
-            thresholds.append((k, state.dims[0] ** (k - 1)))
-        else:
-            thresholds.append(
-                (k, max(subset_threshold(state.dims, m)
-                        for m in itertools.combinations(range(n), k)))
-            )
+        # Reported per-level threshold: the strictest subset threshold at
+        # size k. prod(I)/min(I) is the product of the k-1 largest members
+        # of I, so the k largest dims attain it (d^(k-1) for uniform dims);
+        # per-subset values appear with any witness.
+        thresholds.append((k, math.prod(descending[: k - 1])))
         if failed:
             verdicts.append(LevelVerdict(k, False, implied=True))
             continue
-        verdict = is_k_cge(state, k, tol, workers=workers, budget_dim=budget_dim)
+        verdict = is_k_cge(state, k, tol, budget_dim=budget_dim)
         verdicts.append(verdict)
         if verdict.is_cge:
             level = k
@@ -191,7 +163,6 @@ def is_k_connection_biseparable(
     state: PureState,
     k: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    workers: int = 1,
 ) -> bool:
     """Pure-state membership in the k-connection biseparable set, the
     negation of is_k_cge. Every state is k-connection biseparable for
@@ -204,7 +175,7 @@ def is_k_connection_biseparable(
         raise ValueError(f"level k={k} must be positive")
     if k > state.n // 2:
         return True
-    return not is_k_cge(state, k, tol, workers=workers).is_cge
+    return not is_k_cge(state, k, tol).is_cge
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Command-line interface: JSON in, JSON (or CSV) out.
 
-Exit codes: 0 success, 2 validation problem (malformed JSON, bad
-normalization, dimension mismatch), 3 budget refusal, 64 unknown
-subcommand. Diagnostics go to stderr only; results go to stdout or --out.
+Exit codes: 0 success, 2 validation problem (malformed JSON, NaN or Inf
+amplitudes, bad normalization, dimension mismatch), 3 budget refusal, 64
+unknown subcommand. Diagnostics go to stderr only; results go to stdout or
+--out.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,7 +31,6 @@ from .network import NetworkGraph, network_bound, cross_check
 from .states import family_from_dict
 from .witness import (
     ghz_witness,
-    sample_radius_lower_bound,
     w4_visibility_curves,
     w4_witness,
     werner_visibility_threshold,
@@ -52,14 +51,6 @@ commands:
 
 run `kcge <command> --help` for options
 """
-
-
-def _workers() -> int:
-    raw = os.environ.get("KCGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str):
@@ -120,13 +111,7 @@ def _cmd_classify(argv: list[str]) -> int:
     _add_common(parser)
     args = parser.parse_args(argv)
     state = state_from_dict(_load_json(args.state))
-    report = classify(
-        state,
-        _tolerance(args),
-        max_k=args.max_k,
-        workers=_workers(),
-        budget_dim=args.budget_dim,
-    )
+    report = classify(state, _tolerance(args), max_k=args.max_k, budget_dim=args.budget_dim)
     _emit_json(report.to_dict(), args.out)
     return 0
 
@@ -200,13 +185,6 @@ def _cmd_witness(argv: list[str]) -> int:
     parser.add_argument("--d", type=int, default=2, help="local dimension (ghz)")
     parser.add_argument("--level", type=int, default=2, help="witness level (w4)")
     parser.add_argument("--werner", action="store_true", help="include visibility data")
-    parser.add_argument(
-        "--sample",
-        type=int,
-        default=None,
-        help="also report a Monte-Carlo lower bound on the radius from this many draws",
-    )
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     coeffs = _parse_floats(args.a)
@@ -227,10 +205,6 @@ def _cmd_witness(argv: list[str]) -> int:
         dim = spec.target.total_dim
         result["werner_visibility_threshold"] = werner_visibility_threshold(spec.radius, dim)
         result["werner_zero_crossing"] = werner_zero_crossing(spec.radius, dim)
-    if args.sample is not None:
-        result["sampled_lower_bound"] = sample_radius_lower_bound(
-            spec.target, spec.level, args.sample, args.seed
-        )
     _emit_json(result, args.out)
     return 0
 
@@ -253,7 +227,7 @@ def _cmd_fig4(argv: list[str]) -> int:
 
 
 def _edge_states_from(path: str | None):
-    if path is None or path == "":
+    if path is None:
         return None
     data = _load_json(path)
     if not isinstance(data, list):
@@ -264,29 +238,10 @@ def _edge_states_from(path: str | None):
 def _cmd_network(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="kcge network")
     parser.add_argument("--graph", required=True, help="network JSON file")
-    parser.add_argument(
-        "--cross-check",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="STATES",
-        help="also classify the joint state (optional edge-state JSON list)",
-    )
-    parser.add_argument("--budget-dim", type=int, default=2**14)
-    _add_common(parser)
+    parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     graph = NetworkGraph.from_dict(_load_json(args.graph))
-    if args.cross_check is None:
-        _emit_json(network_bound(graph).to_dict(), args.out)
-        return 0
-    record = cross_check(
-        graph,
-        _edge_states_from(args.cross_check),
-        tol=_tolerance(args),
-        budget=args.budget_dim,
-        strict=False,
-    )
-    _emit_json(record.to_dict(), args.out)
+    _emit_json(network_bound(graph).to_dict(), args.out)
     return 0
 
 

@@ -89,6 +89,13 @@ class PartySubset:
         return iter(self.members)
 
 
+def _require_finite(amps: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if bad.size:
+        named = ", ".join(f"amps[{i}]={amps[i]}" for i in bad[:8])
+        raise ValueError(f"{what}: non-finite amplitudes {named}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -121,6 +128,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected prod(dims)={expected}"
             )
+        _require_finite(amps, "state")
         if check_norm:
             nrm = float(np.linalg.norm(amps))
             if abs(nrm - 1.0) > NORM_ATOL:
@@ -467,8 +475,8 @@ def guard_total_dim(dims: Sequence[int], budget: int, what: str) -> None:
 # --- state JSON format -----------------------------------------------------
 #
 # {"dims": [d1, ..., dn], "amps": [[re, im], ...]} with len(amps) == prod(dims).
-# The reader renormalizes when the norm is within 1e-6 of 1 and rejects
-# anything farther away.
+# The reader rejects NaN and Inf amplitudes, renormalizes when the norm is
+# within 1e-6 of 1 and rejects anything farther away.
 
 
 def state_to_dict(state: PureState) -> dict:
@@ -488,6 +496,7 @@ def state_from_dict(obj: dict) -> PureState:
         raise ValueError(
             f"state JSON: {amps.size} amplitudes, expected {math.prod(dims)}"
         )
+    _require_finite(amps, "state JSON")
     nrm = float(np.linalg.norm(amps))
     if abs(nrm - 1.0) > NORM_ATOL:
         raise ValueError(f"state JSON: norm {nrm!r} deviates from 1 by more than 1e-6")

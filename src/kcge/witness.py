@@ -4,8 +4,7 @@ A witness for a target |Phi> at level k is r*I - |Phi><Phi| where r is the
 largest squared overlap any k-connection biseparable state reaches with the
 target; a negative expectation value certifies the measured state lies
 outside that biseparable set. Closed forms are implemented for the GHZ
-family and the four-party W family; everything else gets a seeded
-Monte-Carlo lower bound on r.
+family and the four-party W family; exact_radius gives r for any target.
 """
 
 from __future__ import annotations
@@ -16,19 +15,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    PartySubset,
-    PureState,
-    apply_local_operator,
-    haar_unitary,
-)
+from .classify import subset_threshold
+from .core import DensityMatrix, PartySubset, PureState, schmidt
 
 PROVENANCES = (
     "closed_form_ghz",
     "closed_form_w4_k1",
     "closed_form_w4_k2",
-    "sampled_lower_bound",
+    "exact",
 )
 
 
@@ -141,6 +135,13 @@ def ghz_witness(n: int, d: int, a) -> WitnessSpec:
 
 
 def w4_witness(level: int, a) -> WitnessSpec:
+    """Witness for the four-party W family with the closed-form radius.
+
+    At level 1 the closed form is below the exact radius: a product state
+    across one party reaches a larger overlap (0.6 against 0.4 at equal
+    weights), so this witness can go negative on a biseparable state. Use
+    exact_witness(target, 1) for a sound level-1 witness.
+    """
     from .states import w_type
 
     return WitnessSpec(
@@ -179,50 +180,29 @@ def w4_visibility_curves(theta_grid) -> list[tuple[float, float, float, float, f
     return rows
 
 
-def sample_radius_lower_bound(
-    target: PureState, k: int, samples: int, seed: int
-) -> float:
-    """Monte-Carlo lower bound on the witness radius at level k.
+def exact_radius(target: PureState, k: int) -> float:
+    """Largest squared overlap of the target with a pure state that is not
+    k-CGE.
 
-    Draws random pure k-connection biseparable states: pick a cut of size at
-    most k, put one cut party in |0> against an arbitrary state of the
-    remaining parties, then scramble the cut with a Haar unitary. The
-    maximum squared overlap with the target over ``samples`` draws is a
-    lower bound on the true radius and is deterministic for a fixed seed.
+    Such a state has Schmidt rank at most t = subset_threshold(dims, I)
+    across some size-k subset I, and by Eckart-Young-Mirsky the best overlap
+    at rank t is the sum of the top t Schmidt coefficients across I; the
+    radius is the maximum of that sum over every size-k subset.
     """
     n = target.n
     if not 1 <= k <= n // 2:
         raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    dims = target.dims
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        size = int(rng.integers(1, k + 1))
-        cut = np.sort(rng.choice(n, size=size, replace=False))
-        freed = int(rng.choice(cut))
-        rest = [p for p in range(n) if p != freed]
-        rest_dim = math.prod(dims[p] for p in rest)
-        z = rng.standard_normal(rest_dim) + 1j * rng.standard_normal(rest_dim)
-        z /= np.linalg.norm(z)
-        nd = np.zeros(dims, dtype=np.complex128)
-        slicer: list = [slice(None)] * n
-        slicer[freed] = 0
-        nd[tuple(slicer)] = z.reshape([dims[p] for p in rest])
-        chi = PureState(dims, nd.reshape(-1))
-        cut_subset = PartySubset(tuple(int(p) for p in cut), n)
-        u = haar_unitary(math.prod(dims[p] for p in cut), rng)
-        chi = apply_local_operator(chi, u, cut_subset)
-        overlap = abs(np.vdot(target.amps, chi.amps)) ** 2
-        best = max(best, float(overlap))
-    return best
+    best = max(
+        schmidt(target, PartySubset(members, n)).coefficients[
+            : subset_threshold(target.dims, members)
+        ].sum()
+        for members in combinations(range(n), k)
+    )
+    # A target within NORM_ATOL of unit norm can sum a hair past 1.
+    return float(min(best, 1.0))
 
 
-def sampled_witness(target: PureState, k: int, samples: int, seed: int) -> WitnessSpec:
+def exact_witness(target: PureState, k: int) -> WitnessSpec:
     return WitnessSpec(
-        target=target,
-        level=k,
-        radius=sample_radius_lower_bound(target, k, samples, seed),
-        provenance="sampled_lower_bound",
+        target=target, level=k, radius=exact_radius(target, k), provenance="exact"
     )

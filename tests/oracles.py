@@ -3,11 +3,13 @@
 Everything in here deliberately avoids the library's reshape/transpose and
 SVD machinery: reduced matrices come from explicit index loops, ranks from
 Gram-matrix eigenvalues, operator embeddings from explicit permutation
-matrices, path counts from a hand-rolled augmenting search, and Dicke
-levels from the excitation-sector count.
+matrices, path counts from a hand-rolled augmenting search, Dicke
+levels from the excitation-sector count, and witness radii from the
+eigenvalues of einsum-built reduced density matrices.
 """
 
 import math
+import string
 from itertools import combinations
 
 import numpy as np
@@ -108,6 +110,29 @@ def dicke_level_exact(n, d, s):
             break
         level = k
     return level
+
+
+def top_eigen_radius(amps, dims, k):
+    """Witness radius at level k: over every size-k subset I, the sum of the
+    top prod(I)/min(I) eigenvalues of the reduced density matrix on I,
+    which is built by an einsum contraction of the amplitude tensor with
+    its conjugate; the maximum over I."""
+    n = len(dims)
+    psi = np.asarray(amps, dtype=complex).reshape(dims)
+    best = 0.0
+    for subset in combinations(range(n), k):
+        row = list(string.ascii_letters[:n])
+        col = list(string.ascii_letters[n : 2 * n])
+        for p in range(n):
+            if p not in subset:
+                col[p] = row[p]
+        out = "".join(row[p] for p in subset) + "".join(col[p] for p in subset)
+        side = math.prod(dims[p] for p in subset)
+        rho = np.einsum(f"{''.join(row)},{''.join(col)}->{out}", psi, psi.conj())
+        eig = np.linalg.eigvalsh(rho.reshape(side, side))[::-1]
+        t = side // min(dims[p] for p in subset)
+        best = max(best, float(eig[:t].sum()))
+    return best
 
 
 def permutation_embed(op, parties, dims):

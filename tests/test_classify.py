@@ -86,17 +86,6 @@ class TestIsKCge:
         assert v.witness_rank == v.witness_threshold
         assert not v.is_cge
 
-    def test_workers_match_sequential(self):
-        st = haar_state((2,) * 6, RNG)
-        for k in (1, 2, 3):
-            seq = is_k_cge(st, k, workers=1)
-            par = is_k_cge(st, k, workers=3)
-            assert (seq.is_cge, seq.witness) == (par.is_cge, par.witness)
-        dk = dicke(6, 2, 3)
-        seq = is_k_cge(dk, 3, workers=1)
-        par = is_k_cge(dk, 3, workers=4)
-        assert (seq.is_cge, seq.witness) == (par.is_cge, par.witness)
-
 
 class TestClassify:
     def test_all_zeros_is_level_zero(self):

@@ -61,15 +61,6 @@ class TestGenerateClassify:
         _, out2, _ = run(capsys, ["classify", "--state", state_path])
         assert out1 == out2
 
-    def test_thread_env_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        fam = write_json(tmp_path / "fam.json", {"family": "dicke", "n": 6, "d": 2, "s": 3})
-        _, out, _ = run(capsys, ["generate", "--family", fam])
-        state_path = write_json(tmp_path / "state.json", json.loads(out))
-        _, sequential, _ = run(capsys, ["classify", "--state", state_path])
-        monkeypatch.setenv("KCGE_THREADS", "4")
-        _, threaded, _ = run(capsys, ["classify", "--state", state_path])
-        assert sequential == threaded
-
     def test_out_flag_writes_file(self, tmp_path, capsys):
         fam = write_json(tmp_path / "fam.json", GHZ3_FAMILY)
         target = tmp_path / "state.json"
@@ -133,23 +124,16 @@ class TestWitnessCommands:
         assert result["radius"] == 0.5
         assert abs(result["werner_visibility_threshold"] - (8 * 0.5 + 1) / 9) < 1e-15
 
-    def test_w4_witness_with_sampling(self, capsys):
+    def test_w4_witness_radius(self, capsys):
         theta = math.pi / 4
         a = [math.cos(theta) / 2] * 4 + [math.sin(theta)]
         code, out, _ = run(
             capsys,
-            [
-                "witness", "w4",
-                "--level", "2",
-                "--a", ",".join(str(x) for x in a),
-                "--sample", "50",
-                "--seed", "11",
-            ],
+            ["witness", "w4", "--level", "2", "--a", ",".join(str(x) for x in a)],
         )
         assert code == 0
         result = json.loads(out)
         assert abs(result["radius"] - 0.75) < 1e-12
-        assert 0 < result["sampled_lower_bound"] <= 1.0
 
     def test_ghz_needs_n(self, capsys):
         code, _, err = run(capsys, ["witness", "ghz", "--a", "1.0,0.0"])
@@ -181,7 +165,7 @@ class TestNetworkCommands:
 
     def test_network_with_cross_check(self, tmp_path, capsys):
         graph = write_json(tmp_path / "g.json", CHAIN4)
-        code, out, _ = run(capsys, ["network", "--graph", graph, "--cross-check"])
+        code, out, _ = run(capsys, ["cross-check", "--graph", graph])
         assert code == 0
         record = json.loads(out)
         assert record["classifier_level"] == 1
@@ -241,6 +225,13 @@ class TestExitCodes:
         code, _, err = run(capsys, ["classify", "--state", state])
         assert code == 2
         assert "norm" in err
+        for bad in ([float("nan"), 0.0], [float("inf"), 0.0], [0.0, float("-inf")]):
+            state = write_json(
+                tmp_path / "state.json", {"dims": [2], "amps": [bad, [0.0, 0.0]]}
+            )
+            code, _, err = run(capsys, ["classify", "--state", state])
+            assert code == 2
+            assert "non-finite amplitudes" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["classify", "--state", "/nonexistent.json"])

@@ -47,6 +47,11 @@ class TestTypes:
             PureState((2, 2), np.ones(4))  # not normalized
         with pytest.raises(ValueError):
             PureState((1, 2), np.array([1.0, 0.0]))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="non-finite amplitudes"):
+                PureState((2,), np.array([bad, 1.0]))
+            with pytest.raises(ValueError, match="non-finite amplitudes"):
+                PureState((2,), np.array([bad, 1.0]), check_norm=False)
         st = PureState((2,), np.array([1.0, 0.0]))
         assert st.total_dim == 2
 
@@ -284,6 +289,9 @@ class TestStateJson:
     def test_reader_rejects_bad_norm(self):
         with pytest.raises(ValueError):
             state_from_dict({"dims": [2], "amps": [[0.5, 0.0], [0.0, 0.0]]})
+        for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="non-finite amplitudes"):
+                state_from_dict({"dims": [2], "amps": [bad, [0.0, 0.0]]})
 
     def test_reader_rejects_wrong_length(self):
         with pytest.raises(ValueError):

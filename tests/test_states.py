@@ -13,6 +13,7 @@ from kcge import (
     cluster_from_epr,
     dicke,
     dicke_cge_formula,
+    dicke_level_exact,
     epr_pair,
     excitation_count,
     family_from_dict,
@@ -26,6 +27,8 @@ from kcge import (
 from kcge.errors import BudgetExceededError
 from kcge.network import NetworkGraph, chain_network, complete_network
 from kcge.states import basis_reversal
+
+import oracles
 
 RNG = np.random.default_rng(77)
 
@@ -254,8 +257,19 @@ class TestFamilySpecs:
         assert classify(st).max_cge_level == 1
 
     def test_dicke_family_claims_formula_value(self):
+        # The claim is the classifier's level (the sector count), not the
+        # paper formula, which gives 3 here.
         fam = family_from_dict({"family": "dicke", "n": 6, "d": 2, "s": 3})
-        assert fam.claimed_cge == dicke_cge_formula(2, 3) == 3
+        assert fam.claimed_cge == classify(fam.build()).max_cge_level == 2
+        assert dicke_cge_formula(2, 3) == 3
+
+    def test_dicke_level_exact_matches_oracle(self):
+        grid = [(2, n) for n in range(2, 11)] + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 6)]
+        for d, n in grid:
+            for s in range(n * (d - 1) + 1):
+                assert dicke_level_exact(n, d, s) == oracles.dicke_level_exact(n, d, s)
+        for n, d, s in ((4, 2, 2), (5, 3, 4), (6, 2, 3), (3, 2, 2)):
+            assert dicke_level_exact(n, d, s) == classify(dicke(n, d, s)).max_cge_level
 
     def test_w_family_claim(self):
         fam = family_from_dict({"family": "w_type", "n": 4, "a": [5**-0.5] * 5})
