@@ -9,14 +9,33 @@ dim(H_I) / min_j d_j. Rank ties at exactly the threshold count as
 biseparable (the criterion demands strictly larger).
 
 No state can be k-CGE beyond floor(n/2), and the levels are nested: losing
-level k implies losing every level above it.
+level k implies losing every level above it. With exact ranks, if a
+k-subset I fails, so rank(I) <= dim(I) / min_I d, then every one-party
+extension J = I + {j} fails too, because rank(J) <= d_j rank(I)
+<= dim(J) / min_I d <= dim(J) / min_J d. So a state that passes the top
+level passes every level below it.
+
+The rank is numerical, counted against a cutoff c relative to each cut's
+own sigma_max, and that count is not monotone under extension: a cut can
+fail with one singular value just below c while every extension lifts it
+just above. The inference survives with a stricter cutoff at the top. Let
+I fail at cutoff c with rank r, and let J = I + S with D = prod_S d. By
+Eckart-Young M_I is a rank-r matrix plus one of norm <= c sigma_max(I);
+reshaping to M_J at most multiplies the rank by D and the norm by sqrt(D),
+and sigma_max(I) <= sqrt(D) sigma_max(J). So M_J has at most
+D r <= dim(J) / min_J d singular values above D c sigma_max(J) (Weyl),
+and J fails at cutoff D c. D is at most the product of the K-1 largest
+dims, the reported top-level threshold T. ``classify`` therefore scans
+the top level K first at cutoff T (2c + 1e-12), where the 2 and the 1e-12
+absorb SVD round-off: a pass there passes every level at cutoff c without
+a scan. Otherwise it scans upward from level 1 at cutoff c.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -58,7 +77,11 @@ class LevelVerdict:
     witness: tuple[int, ...] | None = None
     witness_rank: int | None = None
     witness_threshold: int | None = None
-    implied: bool = False  # failure inferred from a lower level, not checked
+    # True for a failure inferred from a lower failing level. Passes below a
+    # top level that passes its stricter probe are inferred too, not
+    # scanned, but keep implied=False so that the report reads as it did
+    # when they were.
+    implied: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -121,40 +144,41 @@ def classify(
 ) -> ClassificationReport:
     """Largest k for which the state is k-CGE (0 = biseparable).
 
-    Levels are scanned upward and the scan stops at the first failure; the
-    nesting of the levels marks everything above as failed without
-    re-checking (those verdicts carry ``implied=True``).
+    For K = min(floor(n/2), max_k) >= 2 the top level is probed first at the
+    stricter cutoff of the module docstring. If every K-subset passes there,
+    every level 1..K passes at ``tol`` without a scan. Otherwise levels are
+    scanned upward from 1 at ``tol`` until the first failure, whose witness
+    is the lexicographically first failing subset; levels above it are
+    marked failed without re-checking (``implied=True``).
     """
     check_budget(state, budget_dim)
-    n = state.n
-    k_cap = n // 2
+    k_cap = state.n // 2
     if max_k is not None:
         k_cap = min(k_cap, max_k)
-    verdicts: list[LevelVerdict] = []
-    thresholds: list[tuple[int, int]] = []
-    level = 0
-    failed = False
     descending = sorted(state.dims, reverse=True)
-    for k in range(1, k_cap + 1):
-        # Reported per-level threshold: the strictest subset threshold at
-        # size k. prod(I)/min(I) is the product of the k-1 largest members
-        # of I, so the k largest dims attain it (d^(k-1) for uniform dims);
-        # per-subset values appear with any witness.
-        thresholds.append((k, math.prod(descending[: k - 1])))
-        if failed:
-            verdicts.append(LevelVerdict(k, False, implied=True))
-            continue
-        verdict = is_k_cge(state, k, tol, budget_dim=budget_dim)
-        verdicts.append(verdict)
-        if verdict.is_cge:
-            level = k
-        else:
-            failed = True
+    # Reported per-level threshold: the strictest subset threshold at size k.
+    # prod(I)/min(I) is the product of the k-1 largest members of I, so the k
+    # largest dims attain it (d^(k-1) for uniform dims); per-subset values
+    # appear with any witness.
+    thresholds = tuple((k, math.prod(descending[: k - 1])) for k in range(1, k_cap + 1))
+    verdicts: list[LevelVerdict] = []
+    if k_cap >= 2:
+        probe_cutoff = thresholds[-1][1] * (2 * tol.rank_cutoff + 1e-12)
+        if probe_cutoff < 1.0:
+            probe = replace(tol, rank_cutoff=probe_cutoff)
+            if is_k_cge(state, k_cap, probe, budget_dim=budget_dim).is_cge:
+                verdicts = [LevelVerdict(k, True) for k in range(1, k_cap + 1)]
+    if not verdicts:
+        for k in range(1, k_cap + 1):
+            if verdicts and not verdicts[-1].is_cge:
+                verdicts.append(LevelVerdict(k, False, implied=True))
+            else:
+                verdicts.append(is_k_cge(state, k, tol, budget_dim=budget_dim))
     return ClassificationReport(
-        max_cge_level=level,
+        max_cge_level=sum(v.is_cge for v in verdicts),
         dims=state.dims,
         per_level=tuple(verdicts),
-        thresholds_used=tuple(thresholds),
+        thresholds_used=thresholds,
         tolerance=tol,
     )
 

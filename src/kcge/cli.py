@@ -30,6 +30,7 @@ from .errors import BudgetExceededError
 from .network import NetworkGraph, network_bound, cross_check
 from .states import family_from_dict
 from .witness import (
+    exact_radius,
     ghz_witness,
     w4_visibility_curves,
     w4_witness,
@@ -201,6 +202,10 @@ def _cmd_witness(argv: list[str]) -> int:
         "dims": list(spec.target.dims),
         "provenance": spec.provenance,
     }
+    if args.family == "w4":
+        # The closed form stays in "radius"; at level 1 it is below the
+        # exact radius, so a product state can drive that witness negative.
+        result["exact_radius"] = exact_radius(spec.target, spec.level)
     if args.werner:
         dim = spec.target.total_dim
         result["werner_visibility_threshold"] = werner_visibility_threshold(spec.radius, dim)

@@ -306,8 +306,18 @@ def schmidt(
 def schmidt_rank(
     state: PureState, cut: PartySubset, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> int:
-    """Number of Schmidt coefficients above the relative cutoff."""
+    """Number of Schmidt coefficients above the relative cutoff.
+
+    All-zero rows and columns of the bipartite matrix are dropped before the
+    SVD: they carry no singular value, so the nonzero spectrum and sigma_max
+    stay exact while sparse states (GHZ, Dicke, network states) get a much
+    smaller kernel."""
     mat = bipartite_matrix(state, cut)
+    rows, cols = mat.any(axis=1), mat.any(axis=0)
+    if not rows.any():
+        return 0
+    if not (rows.all() and cols.all()):
+        mat = mat[np.ix_(rows, cols)]
     sigma = np.linalg.svd(mat, compute_uv=False)
     return int(np.count_nonzero(sigma / sigma[0] > tol.rank_cutoff))
 

@@ -2,10 +2,11 @@
 
 Everything in here deliberately avoids the library's reshape/transpose and
 SVD machinery: reduced matrices come from explicit index loops, ranks from
-Gram-matrix eigenvalues, operator embeddings from explicit permutation
-matrices, path counts from a hand-rolled augmenting search, Dicke
-levels from the excitation-sector count, and witness radii from the
-eigenvalues of einsum-built reduced density matrices.
+Gram-matrix eigenvalues or from the SVD of the whole bipartite matrix,
+operator embeddings from explicit permutation matrices, path counts from a
+hand-rolled augmenting search, Dicke levels from the excitation-sector
+count, and witness radii from the eigenvalues of einsum-built reduced
+density matrices.
 """
 
 import math
@@ -74,6 +75,22 @@ def gram_rank(amps, dims, cut, cutoff=1e-9):
     top = eig[-1]
     eig_cutoff = max(cutoff**2, 1e-12)
     return int(np.count_nonzero(eig / top > eig_cutoff))
+
+
+def cut_matrix(amps, dims, cut):
+    """The dim(cut) x dim(complement) amplitude matrix, by numpy transpose
+    and reshape."""
+    cut = list(cut)
+    perm = cut + [p for p in range(len(dims)) if p not in cut]
+    side = math.prod(dims[p] for p in cut)
+    return np.asarray(amps).reshape(dims).transpose(perm).reshape(side, -1)
+
+
+def svd_rank(amps, dims, cut, cutoff=1e-9):
+    """Schmidt rank across cut | complement from the singular values of the
+    whole cut matrix, zero rows and columns included."""
+    sigma = np.linalg.svd(cut_matrix(amps, dims, cut), full_matrices=True, compute_uv=False)
+    return int(np.count_nonzero(sigma / sigma[0] > cutoff))
 
 
 def brute_classify(amps, dims, cutoff=1e-9):

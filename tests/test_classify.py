@@ -1,11 +1,17 @@
 """Classifier: level verdicts, hierarchy, caps, oracle agreement."""
 
+import importlib
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from kcge import (
+    LevelVerdict,
     PartySubset,
     PureState,
+    Tolerance,
     apply_local_operator,
     basis_state,
     classify,
@@ -54,6 +60,35 @@ def planted_low_rank_state(dims, cut_members, freed, rng):
     cut = sub(cut_members, n)
     u = haar_unitary(int(np.prod([dims[p] for p in cut.members])), rng)
     return apply_local_operator(st, u, cut)
+
+
+def planted_product(dims, split, rng):
+    """Haar state on ``split`` randomly chosen parties times a Haar state on
+    the rest."""
+    perm = rng.permutation(len(dims))
+    a = haar_state(tuple(dims[p] for p in perm[:split]), rng)
+    b = haar_state(tuple(dims[p] for p in perm[split:]), rng)
+    nd = np.multiply.outer(a.as_tensor(), b.as_tensor()).transpose(np.argsort(perm))
+    return PureState(dims, nd.reshape(-1))
+
+
+def upward_levels(st, max_k=None, tol=Tolerance()):
+    """Reference verdicts: is_k_cge level by level from k=1, stopping at the
+    first failure; the levels above it are marked implied."""
+    k_cap = st.n // 2 if max_k is None else min(st.n // 2, max_k)
+    out = []
+    for k in range(1, k_cap + 1):
+        if out and not out[-1].is_cge:
+            out.append(LevelVerdict(k, False, implied=True))
+        else:
+            out.append(is_k_cge(st, k, tol))
+    return tuple(out)
+
+
+def branch_state(x, y, eps, party):
+    """|0>_party x + eps |1>_party y on qubits, normalized."""
+    t = np.moveaxis(np.stack([x.as_tensor(), eps * y.as_tensor()]), 0, party)
+    return PureState((2,) * (x.n + 1), t.reshape(-1) / np.linalg.norm(t))
 
 
 class TestIsKCge:
@@ -141,6 +176,73 @@ class TestClassify:
         assert schmidt_rank(st, sub([0, 1], 4)) == 2
         assert classify(st).max_cge_level == 1
 
+    def test_top_level_first_matches_upward_scan(self):
+        # classify probes the top level first and infers the levels below a
+        # pass; its verdicts must equal a plain upward scan, also on states
+        # whose top level fails while the lower levels pass.
+        corpus = [haar_state(dims, RNG) for dims in [(2, 3) * 3, (2, 3) * 4] for _ in range(3)]
+        corpus += [haar_state(dims, RNG) for dims in [(2,) * 6, (3,) * 5, (2, 2, 3, 4)]]
+        corpus += [
+            planted_product(dims, split, RNG)
+            for dims, split in [((2, 3) * 3, 2), ((2, 3) * 3, 3), ((3, 2, 2, 3, 2), 2), ((2, 2, 3, 3, 4), 2)]
+        ]
+        corpus += [ghz(5, 3, [3**-0.5] * 3), dicke(6, 2, 3), dicke(5, 3, 4), random_w4(RNG)]
+        corpus.append(network_joint_state(complete_network(4)))
+        cases = [(st, Tolerance(), max_k) for st in corpus for max_k in (None, 1, 2)]
+        top_fails_below_pass = 0
+        for st in corpus:
+            full = upward_levels(st)
+            top_fails_below_pass += len(full) > 1 and full[-2].is_cge and not full[-1].is_cge
+        assert top_fails_below_pass >= 6
+        # The rank is counted against a cutoff relative to each cut's own
+        # sigma_max, so a cut can fail just below it while its extensions
+        # pass. In |0> GHZ3 + e |1> W3 with e = 0.9 cutoff, party 0 fails
+        # level 1 while every {0, k} cut passes level 2, and the report must
+        # still say level 0. Admixtures of 0.5 to 2 times the cutoff, at the
+        # default and at other cutoffs, must give the upward scan's verdicts.
+        for cutoff in (1e-9, 1e-6, 1e-2):
+            tol = Tolerance(rank_cutoff=cutoff, reconstruction_atol=cutoff)
+            st = branch_state(ghz(3, 2, [2**-0.5] * 2), w_type(3, [3**-0.5] * 3 + [0.0]),
+                              0.9 * cutoff, 0)
+            assert not is_k_cge(st, 1, tol).is_cge and is_k_cge(st, 2, tol).is_cge
+            near = [st]
+            for m in (3, 4, 5):
+                xs = [ghz(m, 2, [2**-0.5] * 2), haar_state((2,) * m, RNG)]
+                ys = [w_type(m, [m**-0.5] * m + [0.0]), dicke(m, 2, 2), haar_state((2,) * m, RNG)]
+                for x in xs:
+                    for y in ys:
+                        for factor in (0.5, 0.9, 1.1, 2.0):
+                            party = int(RNG.integers(m + 1))
+                            near.append(branch_state(x, y, factor * cutoff, party))
+            for dims, split in [((2,) * 6, 2), ((2, 3) * 3, 3), ((3, 2, 2, 3, 2), 2)]:
+                for factor in (0.5, 0.9, 1.1, 2.0):
+                    amps = planted_product(dims, split, RNG).amps
+                    amps = amps + factor * cutoff * haar_state(dims, RNG).amps
+                    near.append(PureState(dims, amps / np.linalg.norm(amps)))
+            cases += [(st, tol, max_k) for st in near for max_k in (None, 2)]
+        for st, tol, max_k in cases:
+            want = upward_levels(st, max_k, tol)
+            report = classify(st, tol, max_k=max_k)
+            assert report.per_level == want
+            assert report.max_cge_level == sum(v.is_cge for v in want)
+
+    def test_passing_state_scans_only_its_top_level(self, monkeypatch):
+        # A passing top level decides the lower ones, so the kernel runs once
+        # per subset of size n/2.
+        module = importlib.import_module("kcge.classify")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return schmidt_rank(*args, **kwargs)
+
+        monkeypatch.setattr(module, "schmidt_rank", counted)
+        for dims in [(2,) * 8, (3,) * 6]:
+            calls.clear()
+            n = len(dims)
+            assert classify(haar_state(dims, RNG)).max_cge_level == n // 2
+            assert len(calls) == math.comb(n, n // 2)
+
     def test_budget_refusals(self):
         st = haar_state((2, 2, 2), RNG)
         with pytest.raises(BudgetExceededError):
@@ -188,33 +290,36 @@ class TestProperties:
             assert classify(rotated).max_cge_level == base
 
     def test_size_k_sufficiency(self):
-        # Whenever some small subset certifies biseparability, a larger
-        # superset must as well (low ranks propagate upward).
+        # Nesting, with mixed dims: if rank(I) <= dim(I)/min_I d, then every
+        # one-party extension J = I + {j} has rank(J) <= d_j rank(I)
+        # <= dim(J)/min_J d, so J fails too, and by induction so does every
+        # superset of I.
         candidates = [
             ghz(5, 2, [2**-0.5, 2**-0.5]),
             dicke(5, 2, 1),
             planted_low_rank_state((2,) * 5, [0, 1], 0, RNG),
             planted_low_rank_state((2,) * 6, [2, 3, 4], 3, RNG),
+            planted_low_rank_state((2, 3, 2, 3, 2), [1, 2], 2, RNG),
+            planted_low_rank_state((3, 2, 4, 2, 3), [0, 1, 4], 1, RNG),
+            planted_low_rank_state((2, 3, 4, 3, 2, 2), [2, 3], 3, RNG),
+            planted_product((2, 3) * 3, 2, RNG),
+            planted_product((3, 2, 2, 4, 2), 2, RNG),
+            network_joint_state(complete_network(4)),
+            haar_state((2, 3) * 3, RNG),
         ]
-        from itertools import combinations
-
+        mixed_failing = 0
         for st in candidates:
             n = st.n
-            for j in range(1, n // 2):
-                for small in combinations(range(n), j):
-                    rank = schmidt_rank(st, sub(small, n))
-                    if rank > subset_threshold(st.dims, small):
+            for k in range(1, n - 1):
+                for small in combinations(range(n), k):
+                    if schmidt_rank(st, sub(small, n)) > subset_threshold(st.dims, small):
                         continue
-                    for k in range(j + 1, n // 2 + 1):
-                        supersets = [
-                            s
-                            for s in combinations(range(n), k)
-                            if set(small) <= set(s)
-                        ]
-                        assert any(
-                            schmidt_rank(st, sub(s, n)) <= subset_threshold(st.dims, s)
-                            for s in supersets
-                        )
+                    mixed_failing += len(set(st.dims)) > 1
+                    for j in set(range(n)) - set(small):
+                        grown = tuple(sorted(small + (j,)))
+                        rank = schmidt_rank(st, sub(grown, n))
+                        assert rank <= subset_threshold(st.dims, grown), (st.dims, small, j)
+        assert mixed_failing >= 20
 
     def test_planted_states_are_biseparable_at_cut_size(self):
         st = planted_low_rank_state((2,) * 4, [0, 1], 1, RNG)

@@ -135,6 +135,19 @@ class TestWitnessCommands:
         result = json.loads(out)
         assert abs(result["radius"] - 0.75) < 1e-12
 
+    def test_w4_witness_reports_exact_radius(self, capsys):
+        # At equal weights the level-1 closed form (0.4) is below the exact
+        # radius (0.6, a product state across party 0); at level 2 they agree.
+        equal = ",".join([repr(5**-0.5)] * 5)
+        radii = {}
+        for level in (1, 2):
+            code, out, _ = run(capsys, ["witness", "w4", "--level", str(level), "--a", equal])
+            assert code == 0
+            result = json.loads(out)
+            radii[level] = (result["radius"], result["exact_radius"])
+        assert abs(radii[1][0] - 0.4) < 1e-12 and abs(radii[1][1] - 0.6) < 1e-12
+        assert abs(radii[2][0] - radii[2][1]) < 1e-12
+
     def test_ghz_needs_n(self, capsys):
         code, _, err = run(capsys, ["witness", "ghz", "--a", "1.0,0.0"])
         assert code == 2

@@ -1,5 +1,6 @@
 """Tensor-core: partial trace, Schmidt analysis, local operators, JSON."""
 
+import itertools
 import json
 import math
 
@@ -26,7 +27,7 @@ from kcge import (
 )
 from kcge.core import basis_change_unitary, complete_basis
 
-from oracles import gram_rank, loop_partial_trace, permutation_embed
+from oracles import cut_matrix, gram_rank, loop_partial_trace, permutation_embed, svd_rank
 
 RNG = np.random.default_rng(20240811)
 
@@ -37,6 +38,10 @@ def sub(members, n):
 
 def ghz_pair(n):
     return ghz(n, 2, [2**-0.5, 2**-0.5])
+
+
+def proper_cuts(n):
+    return [c for size in range(1, n) for c in itertools.combinations(range(n), size)]
 
 
 class TestTypes:
@@ -194,6 +199,42 @@ class TestSchmidt:
             u = haar_unitary(2, RNG)
             rotated = apply_local_operator(st, u, sub([party], 4))
             assert schmidt_rank(rotated, cut) == base
+
+    def test_rank_matches_full_svd_on_sparse_cuts(self):
+        # The kernel drops all-zero rows and columns before its SVD. Its rank
+        # must equal the SVD of the whole matrix on every cut, and the corpus
+        # holds cuts with zero rows only and cuts with zero columns only.
+        from kcge import dicke, network_joint_state, w_type
+        from kcge.network import chain_network, star_network
+
+        corpus = [
+            ghz_pair(4),
+            ghz(3, 3, [3**-0.5] * 3),
+            w_type(4, [5**-0.5] * 5),
+            dicke(5, 2, 2),
+            dicke(4, 3, 2),
+            network_joint_state(chain_network(4)),
+            network_joint_state(star_network(4)),
+        ]
+        shapes = set()
+        for st in corpus:
+            for cut in proper_cuts(st.n):
+                mat = cut_matrix(st.amps, st.dims, cut)
+                shapes.add((not mat.any(axis=1).all(), not mat.any(axis=0).all()))
+                assert schmidt_rank(st, sub(cut, st.n)) == svd_rank(st.amps, st.dims, cut)
+        assert {(True, False), (False, True)} <= shapes
+
+    def test_tiny_amplitudes_are_not_dropped(self):
+        # GHZ plus a few off-support amplitudes of 1e-14 to 1e-6: they are
+        # not zero, so their rows and columns stay in the kernel. From 1e-8
+        # on they lift the rank at some cut above the cutoff.
+        for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            amps = ghz_pair(5).amps.copy()
+            amps[RNG.choice(np.arange(1, 31), size=3, replace=False)] = eps
+            st = PureState((2,) * 5, amps / np.linalg.norm(amps))
+            ranks = [schmidt_rank(st, sub(cut, 5)) for cut in proper_cuts(5)]
+            assert ranks == [svd_rank(st.amps, st.dims, cut) for cut in proper_cuts(5)]
+            assert (max(ranks) > 2) == (eps >= 1e-8)
 
     def test_nondefault_cutoff_changes_rank(self):
         amps = np.array([math.sqrt(1 - 1e-8), 0.0, 0.0, 1e-4])
