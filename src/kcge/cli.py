@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import classify
+from .classify import DIM_BUDGET, classify
 from .core import (
     PartySubset,
     Tolerance,
@@ -28,7 +28,7 @@ from .core import (
 from .disentangle import build_disentangling_unitary, two_depth_decompose
 from .errors import BudgetExceededError
 from .network import NetworkGraph, network_bound, cross_check
-from .states import family_from_dict
+from .states import DEFAULT_ZOO_BUDGET, family_from_dict
 from .witness import (
     exact_radius,
     ghz_witness,
@@ -96,7 +96,7 @@ def _cmd_generate(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="kcge generate")
     parser.add_argument("--family", required=True, help="family spec JSON file")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--budget-dim", type=int, default=2**16)
+    parser.add_argument("--budget-dim", type=int, default=DEFAULT_ZOO_BUDGET)
     args = parser.parse_args(argv)
     family = family_from_dict(_load_json(args.family))
     state = family.build(budget=args.budget_dim)
@@ -108,7 +108,7 @@ def _cmd_classify(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="kcge classify")
     parser.add_argument("--state", required=True, help="state JSON file")
     parser.add_argument("--max-k", type=int, default=None)
-    parser.add_argument("--budget-dim", type=int, default=2**16)
+    parser.add_argument("--budget-dim", type=int, default=DIM_BUDGET)
     _add_common(parser)
     args = parser.parse_args(argv)
     state = state_from_dict(_load_json(args.state))

@@ -28,6 +28,12 @@ UNITARY_ATOL = 1e-9
 # Gram-Schmidt candidates whose residual falls below this are treated as
 # linearly dependent and skipped.
 GRAM_SCHMIDT_RESIDUAL = 1e-10
+# schmidt_rank certifies full rank without an SVD when the smallest singular
+# value exceeds this share of the Frobenius norm (or twice the rank cutoff,
+# if larger): far above round-off, and far below a typical Haar cut up to
+# 2^16 dims (about 2e-4 for a 256 x 256 cut).
+FULL_RANK_MARGIN = 1e-5
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -308,16 +314,50 @@ def schmidt_rank(
 ) -> int:
     """Number of Schmidt coefficients above the relative cutoff.
 
-    All-zero rows and columns of the bipartite matrix are dropped before the
-    SVD: they carry no singular value, so the nonzero spectrum and sigma_max
-    stay exact while sparse states (GHZ, Dicke, network states) get a much
-    smaller kernel."""
+    All-zero rows and columns of the bipartite matrix are dropped first:
+    they carry no singular value, so the nonzero spectrum and sigma_max stay
+    exact while sparse states (GHZ, Dicke, network states) get a much
+    smaller kernel.
+
+    Full rank is then certified without an SVD. Let the block M be m x n
+    with m <= n (M is transposed when tall), c the cutoff,
+    rho = max(FULL_RANK_MARGIN, 2c) and G = M M^H. If the Cholesky
+    factorization of G - s I succeeds for s = (rho^2 + 2(m+n) eps) tr G,
+    the rank is m, and the SVD count below would give m as well:
+
+    * With unit round-off u = eps / 2, the computed G is the Gram matrix
+      of M up to n u |M| |M^H| entrywise, and a Cholesky factorization
+      R^H R that completes is exact for a matrix within (m+1) u |R^H| |R|
+      of its input (Higham, Accuracy and Stability of Numerical Algorithms,
+      2nd ed., sections 3.5 and 10.1). In the 2-norm |M| |M^H| is at most
+      |M|_F^2 = tr G and |R^H| |R| at most |R|_F^2 = tr(G - s I) < tr G, so
+      both errors together stay below (m+n+1) u tr G, and the rest of
+      2(m+n) eps tr G covers the rounding of tr G, s and G - s I. So the
+      exact G - rho^2 tr G I is positive definite:
+      sigma_m^2 = lambda_min(G) > rho^2 |M|_F^2.
+    * sigma_max <= |M|_F, so sigma_m / sigma_max > rho >= 2c.
+    * The SVD's computed singular values lie within O((m+n) eps) sigma_max
+      of the exact ones, far below rho sigma_max / 2 >= sigma_max
+      FULL_RANK_MARGIN / 2, so every computed ratio sigma_i / sigma_1 still
+      exceeds rho / 2 >= c and the SVD counts all m values.
+
+    A rank-deficient or near-deficient block fails the factorization and
+    takes the SVD path, which decides the rank as before."""
     mat = bipartite_matrix(state, cut)
     rows, cols = mat.any(axis=1), mat.any(axis=0)
     if not rows.any():
         return 0
     if not (rows.all() and cols.all()):
         mat = mat[np.ix_(rows, cols)]
+    short, long_ = sorted(mat.shape)
+    gram = mat @ mat.conj().T if mat.shape[0] == short else mat.conj().T @ mat
+    rho = max(FULL_RANK_MARGIN, 2.0 * tol.rank_cutoff)
+    shift = (rho**2 + 2 * (short + long_) * _EPS) * gram.trace().real
+    try:
+        np.linalg.cholesky(gram - shift * np.eye(short))
+        return short
+    except np.linalg.LinAlgError:
+        pass
     sigma = np.linalg.svd(mat, compute_uv=False)
     return int(np.count_nonzero(sigma / sigma[0] > tol.rank_cutoff))
 

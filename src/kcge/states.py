@@ -364,7 +364,12 @@ class StateFamily:
     claimed_cge: int | None = None
 
     def build(self, budget: int = DEFAULT_ZOO_BUDGET) -> PureState:
+        """Build the state, refusing any whose total dimension exceeds
+        ``budget`` before allocating it."""
         p = self.parameters
+        if self.kind in ("ghz", "w_type", "dicke"):
+            d = 2 if self.kind == "w_type" else p["d"]
+            guard_total_dim((d,) * p["n"], budget, self.kind)
         if self.kind == "ghz":
             return ghz(p["n"], p["d"], p["a"])
         if self.kind == "w_type":
@@ -385,6 +390,7 @@ class StateFamily:
             return network_joint_state(graph, p.get("edge_states"), budget=min(budget, NETWORK_STATE_BUDGET))
         if self.kind == "product":
             dims = tuple(int(d) for d in p["dims"])
+            guard_total_dim(dims, budget, "product")
             amps = np.zeros(math.prod(dims), dtype=np.complex128)
             amps[0] = 1.0
             return PureState(dims, amps)

@@ -1,6 +1,7 @@
 """Classifier: level verdicts, hierarchy, caps, oracle agreement."""
 
 import importlib
+import json
 import math
 from itertools import combinations
 
@@ -27,8 +28,9 @@ from kcge import (
     subset_threshold,
     w_type,
 )
+from kcge.core import FULL_RANK_MARGIN
 from kcge.errors import BudgetExceededError
-from kcge.network import complete_network
+from kcge.network import chain_network, complete_network, star_network
 
 from oracles import brute_classify
 
@@ -228,20 +230,79 @@ class TestClassify:
 
     def test_passing_state_scans_only_its_top_level(self, monkeypatch):
         # A passing top level decides the lower ones, so the kernel runs once
-        # per subset of size n/2.
+        # per subset of size n/2, and on Haar cuts the full-rank certificate
+        # answers every call without an SVD. Dicke cuts are rank deficient
+        # and fall back to the SVD.
         module = importlib.import_module("kcge.classify")
-        calls = []
+        calls, svd_calls = [], []
+        real_svd = np.linalg.svd
 
         def counted(*args, **kwargs):
             calls.append(1)
             return schmidt_rank(*args, **kwargs)
 
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(1)
+            return real_svd(*args, **kwargs)
+
         monkeypatch.setattr(module, "schmidt_rank", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         for dims in [(2,) * 8, (3,) * 6]:
             calls.clear()
             n = len(dims)
             assert classify(haar_state(dims, RNG)).max_cge_level == n // 2
             assert len(calls) == math.comb(n, n // 2)
+        assert not svd_calls
+        assert classify(dicke(8, 2, 4)).max_cge_level == 2
+        assert svd_calls
+
+    def test_certificate_matches_svd_only_reports(self, monkeypatch):
+        # schmidt_rank certifies full rank by a shifted Cholesky and runs its
+        # SVD only when that fails. Forcing the SVD on every call must leave
+        # every report byte-identical, also for GHZ plus Haar admixtures at
+        # 0.5 to 2 times the rank cutoff and FULL_RANK_MARGIN.
+        default = Tolerance()
+        corpus = [
+            (haar_state(dims, RNG), default)
+            for dims in [(2,) * 6, (2,) * 7, (3,) * 4, (2, 3) * 3, (2, 2, 3, 4), (3, 2, 2, 3, 2)]
+        ]
+        corpus += [(planted_product((2, 3) * 3, 2, RNG), default), (random_w4(RNG), default)]
+        corpus += [
+            (st, default)
+            for st in [
+                ghz(5, 2, [2**-0.5] * 2),
+                ghz(4, 3, [3**-0.5] * 3),
+                w_type(5, [6**-0.5] * 6),
+                dicke(6, 2, 3),
+                dicke(5, 3, 4),
+                network_joint_state(complete_network(4)),
+                network_joint_state(chain_network(4)),
+                network_joint_state(star_network(5)),
+            ]
+        ]
+        for scale, tol in [(c, Tolerance(rank_cutoff=c)) for c in (1e-9, 1e-6, 1e-2)] + [
+            (FULL_RANK_MARGIN, default)
+        ]:
+            for m in (4, 5, 6):
+                for factor in (0.5, 0.9, 1.1, 2.0):
+                    amps = ghz(m, 2, [2**-0.5] * 2).amps
+                    amps = amps + factor * scale * haar_state((2,) * m, RNG).amps
+                    corpus.append((PureState((2,) * m, amps / np.linalg.norm(amps)), tol))
+        cases = [(st, tol, max_k) for st, tol in corpus for max_k in (None, 1, 2)]
+
+        def reports():
+            return [
+                json.dumps(classify(st, tol, max_k=max_k).to_dict(), sort_keys=True)
+                for st, tol, max_k in cases
+            ]
+
+        certified = reports()
+
+        def no_certificate(*args, **kwargs):
+            raise np.linalg.LinAlgError("certificate disabled")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_certificate)
+        assert reports() == certified
 
     def test_budget_refusals(self):
         st = haar_state((2, 2, 2), RNG)

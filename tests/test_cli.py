@@ -68,6 +68,27 @@ class TestGenerateClassify:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["dims"] == [2, 2, 2]
 
+    def test_generate_honours_budget(self, tmp_path, capsys):
+        # Each family is 256-dimensional, so --budget-dim 16 refuses it; the
+        # 2^40 product is refused at the default budget before allocating.
+        families = [
+            {"family": "ghz", "n": 8, "d": 2, "a": [2**-0.5, 2**-0.5]},
+            {"family": "w_type", "n": 8, "a": [1 / 3] * 9},
+            {"family": "dicke", "n": 8, "d": 2, "s": 4},
+            {"family": "product", "dims": [2] * 8},
+        ]
+        for spec in families:
+            fam = write_json(tmp_path / "fam.json", spec)
+            code, out, err = run(capsys, ["generate", "--family", fam])
+            assert code == 0 and len(json.loads(out)["amps"]) == 256
+            code, out, err = run(capsys, ["generate", "--family", fam, "--budget-dim", "16"])
+            assert code == 3 and out == ""
+            assert f"{spec['family']}: total dimension 256 exceeds budget 16" in err
+        fam = write_json(tmp_path / "fam.json", {"family": "product", "dims": [2] * 40})
+        code, out, err = run(capsys, ["generate", "--family", fam])
+        assert code == 3 and out == ""
+        assert f"total dimension {2**40} exceeds budget {2**16}" in err
+
 
 class TestDisentangleDecompose:
     def test_disentangle_ghz(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from kcge import (
     state_to_dict,
     swap_matrix,
 )
-from kcge.core import basis_change_unitary, complete_basis
+from kcge.core import FULL_RANK_MARGIN, basis_change_unitary, complete_basis
 
 from oracles import cut_matrix, gram_rank, loop_partial_trace, permutation_embed, svd_rank
 
@@ -42,6 +42,17 @@ def ghz_pair(n):
 
 def proper_cuts(n):
     return [c for size in range(1, n) for c in itertools.combinations(range(n), size)]
+
+
+def planted_cut_state(row_dims, col_dims, sigma, rng):
+    """State whose matrix across the cut of its leading parties (row_dims
+    against col_dims) has singular values proportional to ``sigma``, in Haar
+    bases on both sides."""
+    rows, cols = math.prod(row_dims), math.prod(col_dims)
+    u = haar_unitary(rows, rng)[:, : len(sigma)]
+    v = haar_unitary(cols, rng)[:, : len(sigma)]
+    mat = (u * sigma) @ v.conj().T
+    return PureState(row_dims + col_dims, mat.reshape(-1) / np.linalg.norm(mat))
 
 
 class TestTypes:
@@ -235,6 +246,60 @@ class TestSchmidt:
             ranks = [schmidt_rank(st, sub(cut, 5)) for cut in proper_cuts(5)]
             assert ranks == [svd_rank(st.amps, st.dims, cut) for cut in proper_cuts(5)]
             assert (max(ranks) > 2) == (eps >= 1e-8)
+
+    def test_full_rank_certificate_matches_svd_at_its_boundary(self, monkeypatch):
+        # schmidt_rank skips its SVD when a shifted Cholesky of the Gram
+        # matrix proves sigma_min / |M|_F >= rho = max(FULL_RANK_MARGIN,
+        # 2 cutoff). On planted spectra the rank must equal the full-matrix
+        # SVD count, and the SVD must run exactly when sigma_min / |M|_F < rho:
+        # at 0.5 to 1.5 rho, at 0.5 to 2 times the cutoff relative to
+        # sigma_max, and with two exact zeros, on square, wide and tall cuts.
+        real_svd = np.linalg.svd
+        svd_calls = []
+
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        shapes = [
+            ((2,) * 7, (2,) * 7),
+            ((2,) * 4, (2,) * 4),
+            ((3, 3), (3, 3, 3)),
+            ((2,) * 3, (2,) * 5),
+            ((3,) * 3, (3,) * 4),
+            ((3, 3, 3), (3, 3)),
+            ((2,) * 6, (2,) * 3),
+        ]
+        boundary = set()
+        for row_dims, col_dims in shapes:
+            m = min(math.prod(row_dims), math.prod(col_dims))
+            cut = sub(range(len(row_dims)), len(row_dims) + len(col_dims))
+            for cutoff in (1e-9, 1e-6, 1e-3, 1e-2, 0.05):
+                rho = max(FULL_RANK_MARGIN, 2 * cutoff)
+                bulk = RNG.uniform(0.8, 1.0, size=m - 1)
+                bulk[0] = 1.0
+                spectra = []  # (singular values, SVD expected, certificate case)
+                for factor in (0.5, 0.9, 1.1, 1.5):
+                    # sigma_min = factor rho |M|_F with |M|_F = 1.
+                    t = factor * rho
+                    scaled = bulk * math.sqrt((1 - t**2) / np.sum(bulk**2))
+                    if scaled.min() > t:
+                        spectra.append((np.append(scaled, t), factor < 1, factor))
+                for factor in (0.5, 0.9, 1.1, 2.0):
+                    spectra.append((np.append(bulk, factor * cutoff), True, None))
+                spectra.append((np.append(bulk[:-1], [0.0, 0.0]), True, None))
+                for sigma, expect_svd, factor in spectra:
+                    st = planted_cut_state(row_dims, col_dims, sigma, RNG)
+                    tol = Tolerance(rank_cutoff=cutoff)
+                    svd_calls.clear()
+                    rank = schmidt_rank(st, cut, tol)
+                    assert bool(svd_calls) == expect_svd
+                    assert rank == np.count_nonzero(sigma / sigma.max() > cutoff)
+                    assert rank == svd_rank(st.amps, st.dims, cut.members, cutoff)
+                    if factor is not None:
+                        boundary.add((cutoff, factor))
+        assert len(boundary) == 5 * 4
 
     def test_nondefault_cutoff_changes_rank(self):
         amps = np.array([math.sqrt(1 - 1e-8), 0.0, 0.0, 1e-4])
