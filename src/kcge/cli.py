@@ -23,7 +23,7 @@ from .core import (
     apply_local_operator,
     partial_trace,
     state_from_dict,
-    state_to_dict,
+    state_to_dict,  # noqa: F401  (perfbench/tracing.py wraps kcge.cli.state_to_dict)
 )
 from .disentangle import build_disentangling_unitary, two_depth_decompose
 from .errors import BudgetExceededError
@@ -71,8 +71,48 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
 
 
-def _encode_matrix(mat: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat)]
+def _emit_array_json(obj: dict, out: str | None) -> None:
+    """Emit ``obj``, whose values may be complex ndarrays, byte for byte as
+    ``_emit_json`` emits it with every array written as nested ``[re, im]``
+    lists (the state JSON format)."""
+    _emit(_json_text(obj, 0) + "\n", out)
+
+
+# json.dumps spells the non-finite floats differently from repr.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, level: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` as it reads at indent
+    ``level``, where dicts may hold complex ndarrays at any depth."""
+    if isinstance(value, np.ndarray):
+        # Interleave re and im into one float64 buffer and fill the layout
+        # json.dumps would write with one % (str of a float is its repr).
+        pairs = np.ascontiguousarray(value, dtype=np.complex128).view(np.float64)
+        numbers = pairs.ravel().tolist()
+        if not np.isfinite(pairs).all():
+            numbers = [_NONFINITE.get(r, r) for r in map(repr, numbers)]
+        return _pair_layout(value.shape, level) % tuple(numbers)
+    if isinstance(value, dict) and value:
+        pad = "\n" + "  " * (level + 1)
+        items = (
+            pad + json.dumps(key) + ": " + _json_text(value[key], level + 1)
+            for key in sorted(value)
+        )
+        return "{" + ",".join(items) + "\n" + "  " * level + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _pair_layout(shape: tuple, level: int) -> str:
+    """The indent-2 layout of nested lists of ``[re, im]`` pairs of this
+    shape at indent ``level``, with ``%s`` for each number."""
+    pad = "\n" + "  " * (level + 1)
+    if not shape:
+        return "[" + pad + "%s," + pad + "%s\n" + "  " * level + "]"
+    if shape[0] == 0:
+        return "[]"
+    inner = pad + _pair_layout(shape[1:], level + 1)
+    return "[" + ",".join([inner] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def _parse_indices(text: str) -> list[int]:
@@ -100,7 +140,7 @@ def _cmd_generate(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     family = family_from_dict(_load_json(args.family))
     state = family.build(budget=args.budget_dim)
-    _emit_json(state_to_dict(state), args.out)
+    _emit_array_json({"dims": list(state.dims), "amps": state.amps}, args.out)
     return 0
 
 
@@ -132,15 +172,15 @@ def _cmd_disentangle(argv: list[str]) -> int:
     freed = partial_trace(output, PartySubset((args.free,), state.n))
     fidelity = float(np.real(freed.matrix[0, 0]))
     gram = unitary.conj().T @ unitary
-    _emit_json(
+    _emit_array_json(
         {
             "cut": list(cut.members),
             "free": args.free,
-            "unitary": _encode_matrix(unitary),
+            "unitary": unitary,
             "residual": 1.0 - fidelity,
             "freed_fidelity": fidelity,
             "unitarity_error": float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
-            "output_state": state_to_dict(output),
+            "output_state": {"dims": list(output.dims), "amps": output.amps},
         },
         args.out,
     )
@@ -158,18 +198,18 @@ def _cmd_decompose(argv: list[str]) -> int:
     dec = two_depth_decompose(state, _tolerance(args), pivot=args.pivot, freed=args.freed)
     rebuilt = dec.prepare(state.dims)
     error = float(np.max(np.abs(rebuilt.amps - state.amps)))
-    _emit_json(
+    _emit_array_json(
         {
             "pivot": dec.pivot,
             "freed": dec.freed,
             "degenerate": dec.degenerate,
             "layer1": {
                 "parties": list(dec.layer1_parties.members),
-                "matrix": _encode_matrix(dec.layer1),
+                "matrix": dec.layer1,
             },
             "layer2": {
                 "parties": list(dec.layer2_parties.members),
-                "matrix": _encode_matrix(dec.layer2),
+                "matrix": dec.layer2,
             },
             "reconstruction_error": error,
         },

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -514,12 +514,17 @@ def haar_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
     return PureState(dims, z / np.linalg.norm(z))
 
 
-def guard_total_dim(dims: Sequence[int], budget: int, what: str) -> None:
-    total = math.prod(int(d) for d in dims)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{what}: total dimension {total} exceeds budget {budget}"
-        )
+def guard_total_dim(dims: Iterable[int], budget: int, what: str) -> None:
+    """Refuse dims whose product exceeds ``budget``, stopping at the first
+    party that takes the running product past it."""
+    total = 1
+    for count, d in enumerate(dims, start=1):
+        total *= int(d)
+        if total > budget:
+            raise BudgetExceededError(
+                f"{what}: total dimension exceeds budget {budget} "
+                f"(the first {count} dims already give {total})"
+            )
 
 
 # --- state JSON format -----------------------------------------------------

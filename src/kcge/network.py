@@ -123,9 +123,11 @@ def degree_condition_fires(profile: DegreeProfile) -> bool:
 
 def chain_connectivity(g: NetworkGraph) -> int:
     """Minimum over party pairs of the number of edge-disjoint paths
-    between them (unit capacity per edge unit); 0 for disconnected graphs."""
-    if g.n == 1:
-        return 0
+    between them (unit capacity per edge unit); 0 for disconnected graphs.
+
+    A global minimum cut separates party 0 from some party b, so the n - 1
+    flows from party 0 give the minimum over all pairs (Gomory & Hu, 1961).
+    """
     flow_graph = nx.Graph()
     flow_graph.add_nodes_from(range(g.n))
     for i, j, mult, _d in g.edges:
@@ -133,16 +135,8 @@ def chain_connectivity(g: NetworkGraph) -> int:
             flow_graph[i][j]["capacity"] += mult
         else:
             flow_graph.add_edge(i, j, capacity=mult)
-    if not nx.is_connected(flow_graph):
-        return 0
-    best = None
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            value = int(nx.maximum_flow_value(flow_graph, a, b, capacity="capacity"))
-            best = value if best is None else min(best, value)
-            if best == 0:
-                return 0
-    return int(best or 0)
+    flows = (nx.maximum_flow_value(flow_graph, 0, b, capacity="capacity") for b in range(1, g.n))
+    return int(min(flows, default=0))
 
 
 def connectivity_biseparable_size(c: int) -> int:

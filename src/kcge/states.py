@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -369,7 +370,7 @@ class StateFamily:
         p = self.parameters
         if self.kind in ("ghz", "w_type", "dicke"):
             d = 2 if self.kind == "w_type" else p["d"]
-            guard_total_dim((d,) * p["n"], budget, self.kind)
+            guard_total_dim(repeat(d, p["n"]), budget, self.kind)
         if self.kind == "ghz":
             return ghz(p["n"], p["d"], p["a"])
         if self.kind == "w_type":

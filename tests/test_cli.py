@@ -2,11 +2,27 @@
 
 import json
 import math
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from kcge import state_from_dict, state_to_dict, ghz
-from kcge.cli import main
+from kcge import (
+    PartySubset,
+    PureState,
+    Tolerance,
+    apply_local_operator,
+    build_disentangling_unitary,
+    family_from_dict,
+    ghz,
+    haar_state,
+    partial_trace,
+    state_from_dict,
+    state_to_dict,
+    two_depth_decompose,
+)
+from kcge.cli import _emit_array_json, main
 
 
 def write_json(path, obj):
@@ -23,6 +39,58 @@ def run(capsys, argv):
 GHZ3_FAMILY = {"family": "ghz", "n": 3, "d": 2, "a": [2**-0.5, 2**-0.5]}
 CHAIN4 = {"n": 4, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
 K6 = {"n": 6, "edges": [[i, j, 1] for i in range(6) for j in range(i + 1, 6)]}
+SPECIAL = (-0.0, 1.0, 1e-300, 5e-324, 1e16, 1 / 3)
+TOL = Tolerance(rank_cutoff=1e-9, reconstruction_atol=1e-9)
+
+
+# The oracle for array output: json.dumps of the nested-list forms, which
+# is how the CLI wrote states and matrices before it rendered them itself.
+
+
+def legacy_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def legacy_matrix(mat):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat)]
+
+
+def legacy_state(dims, amps):
+    return state_to_dict(SimpleNamespace(dims=tuple(dims), amps=np.asarray(amps)))
+
+
+def legacy_disentangle(state, cut, free):
+    unitary = build_disentangling_unitary(state, cut, free, TOL)
+    output = apply_local_operator(state, unitary, cut)
+    fidelity = float(np.real(partial_trace(output, PartySubset((free,), state.n)).matrix[0, 0]))
+    gram = unitary.conj().T @ unitary
+    return {
+        "cut": list(cut.members),
+        "free": free,
+        "unitary": legacy_matrix(unitary),
+        "residual": 1.0 - fidelity,
+        "freed_fidelity": fidelity,
+        "unitarity_error": float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
+        "output_state": state_to_dict(output),
+    }
+
+
+def legacy_decompose(state):
+    dec = two_depth_decompose(state, TOL, pivot=0, freed=1)
+    layers = {
+        name: {"parties": list(parties.members), "matrix": legacy_matrix(mat)}
+        for name, parties, mat in (
+            ("layer1", dec.layer1_parties, dec.layer1),
+            ("layer2", dec.layer2_parties, dec.layer2),
+        )
+    }
+    return {
+        "pivot": dec.pivot,
+        "freed": dec.freed,
+        "degenerate": dec.degenerate,
+        **layers,
+        "reconstruction_error": float(np.max(np.abs(dec.prepare(state.dims).amps - state.amps))),
+    }
 
 
 class TestGenerateClassify:
@@ -83,11 +151,20 @@ class TestGenerateClassify:
             assert code == 0 and len(json.loads(out)["amps"]) == 256
             code, out, err = run(capsys, ["generate", "--family", fam, "--budget-dim", "16"])
             assert code == 3 and out == ""
-            assert f"{spec['family']}: total dimension 256 exceeds budget 16" in err
+            assert f"{spec['family']}: total dimension exceeds budget 16" in err
         fam = write_json(tmp_path / "fam.json", {"family": "product", "dims": [2] * 40})
         code, out, err = run(capsys, ["generate", "--family", fam])
         assert code == 3 and out == ""
-        assert f"total dimension {2**40} exceeds budget {2**16}" in err
+        assert f"total dimension exceeds budget {2**16} (the first 17 dims already give {2**17})" in err
+
+    def test_huge_family_is_refused_at_once(self, tmp_path, capsys):
+        spec = {"family": "ghz", "n": 10**6, "d": 2, "a": [2**-0.5, 2**-0.5]}
+        fam = write_json(tmp_path / "fam.json", spec)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["generate", "--family", fam])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "ghz: total dimension exceeds budget" in err
 
 
 class TestDisentangleDecompose:
@@ -127,6 +204,110 @@ class TestDisentangleDecompose:
         assert result["reconstruction_error"] < 1e-9
         assert result["layer1"]["parties"] == [0, 2]
         assert result["layer2"]["parties"] == [1, 2]
+
+
+class TestArrayJson:
+    """States and matrices are written from numpy, and the text must equal
+    the oracle's byte for byte."""
+
+    def emitted(self, capsys, obj):
+        _emit_array_json(obj, None)
+        return capsys.readouterr().out
+
+    def test_special_values_in_both_parts(self, capsys):
+        values = SPECIAL + tuple(-x for x in SPECIAL)
+        amps = np.array([complex(re, im) for re in values for im in values])
+        text = self.emitted(capsys, {"dims": [amps.size], "amps": amps})
+        assert text == legacy_text(legacy_state([amps.size], amps))
+        mat = amps.reshape(len(values), len(values))
+        assert self.emitted(capsys, {"unitary": mat}) == legacy_text({"unitary": legacy_matrix(mat)})
+        for value in ("-0.0", "1.0", "1e-300", "5e-324", "1e+16", repr(1 / 3)):
+            assert f" {value},\n" in text and f" {value}\n" in text
+
+    def test_state_shapes(self, capsys):
+        states = [
+            SimpleNamespace(dims=(1,), amps=np.array([1.0 + 0j])),
+            haar_state((2, 3, 4), np.random.default_rng(7)),
+            ghz(3, 2, [2**-0.5, 2**-0.5]),
+        ]
+        for st in states:
+            text = self.emitted(capsys, {"dims": list(st.dims), "amps": st.amps})
+            assert text == legacy_text(state_to_dict(st))
+
+    def test_real_non_square_and_empty_matrices(self, capsys):
+        rng = np.random.default_rng(8)
+        for shape in ((3, 5), (5, 2), (1, 4), (4, 1), (1, 1), (0, 3), (3, 0)):
+            mat = rng.standard_normal(shape)
+            text = self.emitted(capsys, {"matrix": mat})
+            assert text == legacy_text({"matrix": legacy_matrix(mat)})
+            assert text.count("\n        0.0\n") == mat.size
+
+    def test_non_finite_entries_print_as_json_does(self, capsys):
+        nan, inf = float("nan"), float("inf")
+        mat = np.array([[nan, inf, -inf], [complex(1.0, nan), complex(-inf, inf), 0.5]])
+        text = self.emitted(capsys, {"m": mat})
+        assert text == legacy_text({"m": legacy_matrix(mat)})
+        numbers = {line.strip().rstrip(",") for line in text.splitlines()}
+        assert {"NaN", "Infinity", "-Infinity"} <= numbers
+        assert not numbers & {"nan", "inf", "-inf"}
+
+    def test_other_values_go_through_json_dumps(self, capsys):
+        mat = np.array([[0.5 + 0.25j, -1j], [1 / 3, 2.0]])
+        other = {"z": [1, {"b": None, "a": True}], "x": 0.1, "s": 'é"\n', "cut": [], "e": {}}
+        obj = {**other, "layer": {"parties": [0, 2], "matrix": mat}}
+        legacy = {**other, "layer": {"parties": [0, 2], "matrix": legacy_matrix(mat)}}
+        assert self.emitted(capsys, obj) == legacy_text(legacy)
+
+
+class TestArrayCommandBytes:
+    """generate, disentangle and decompose print the oracle's bytes, and
+    --out writes the same bytes."""
+
+    def outputs(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        target = tmp_path / "out.json"
+        code, silent, _ = run(capsys, argv + ["--out", str(target)])
+        assert code == 0 and silent == ""
+        assert target.read_bytes() == out.encode("utf-8")
+        return out
+
+    def state_file(self, tmp_path, state):
+        path = write_json(tmp_path / "state.json", state_to_dict(state))
+        return path, state_from_dict(json.loads(Path(path).read_text()))
+
+    def test_generate(self, tmp_path, capsys):
+        families = [
+            GHZ3_FAMILY,
+            {"family": "dicke", "n": 4, "d": 3, "s": 2},
+            {"family": "product", "dims": [2, 3, 4]},
+            {"family": "network", "graph": CHAIN4},
+        ]
+        for spec in families:
+            fam = write_json(tmp_path / "fam.json", spec)
+            out = self.outputs(capsys, tmp_path, ["generate", "--family", fam])
+            assert out == legacy_text(state_to_dict(family_from_dict(spec).build()))
+
+    def test_disentangle(self, tmp_path, capsys):
+        mixed = np.zeros(24, dtype=complex)
+        mixed[[0, 17]] = 2**-0.5  # |000> + |111> on dims (2, 3, 4)
+        cases = [
+            (ghz(3, 2, [2**-0.5, 2**-0.5]), [1, 2], 1),
+            (PureState((2, 3, 4), mixed), [1, 2], 1),
+            (PureState((2, 3, 4), mixed), [0, 2], 2),
+        ]
+        for state, cut, free in cases:
+            path, loaded = self.state_file(tmp_path, state)
+            argv = ["disentangle", "--state", path, "--cut", ",".join(map(str, cut))]
+            out = self.outputs(capsys, tmp_path, argv + ["--free", str(free)])
+            legacy = legacy_disentangle(loaded, PartySubset.of(cut, loaded.n), free)
+            assert out == legacy_text(legacy)
+
+    def test_decompose(self, tmp_path, capsys):
+        for state in (ghz(3, 2, [2**-0.5, 2**-0.5]), haar_state((2, 3, 4), np.random.default_rng(9))):
+            path, loaded = self.state_file(tmp_path, state)
+            out = self.outputs(capsys, tmp_path, ["decompose", "--state", path])
+            assert out == legacy_text(legacy_decompose(loaded))
 
 
 class TestWitnessCommands:

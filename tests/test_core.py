@@ -25,7 +25,8 @@ from kcge import (
     state_to_dict,
     swap_matrix,
 )
-from kcge.core import FULL_RANK_MARGIN, basis_change_unitary, complete_basis
+from kcge.core import FULL_RANK_MARGIN, basis_change_unitary, complete_basis, guard_total_dim
+from kcge.errors import BudgetExceededError
 
 from oracles import cut_matrix, gram_rank, loop_partial_trace, permutation_embed, svd_rank
 
@@ -402,3 +403,13 @@ class TestStateJson:
     def test_reader_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             state_from_dict({"dims": [2, 2], "amps": [[1.0, 0.0]]})
+
+
+class TestBudgetGuard:
+    def test_refuses_once_the_running_product_passes_the_budget(self):
+        guard_total_dim((2,) * 16, 2**16, "state")
+        with pytest.raises(BudgetExceededError, match=r"first 17 dims already give 131072"):
+            guard_total_dim((2,) * 17, 2**16, "state")
+        # The exact product has 30103 digits, too many to print or compare.
+        with pytest.raises(BudgetExceededError, match="state: total dimension exceeds budget 65536"):
+            guard_total_dim((2,) * 100000, 2**16, "state")

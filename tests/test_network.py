@@ -151,6 +151,26 @@ class TestConnectivity:
         for g in graphs:
             assert chain_connectivity(g) == min_pair_connectivity(g.n, g.edge_units())
 
+    def test_random_multigraphs_match_oracle(self):
+        # Flows from party 0 alone must give the all-pairs minimum, also on
+        # disconnected graphs, on two parties and on one.
+        rng = np.random.default_rng(56)
+        seen_zero = seen_positive = 0
+        for _ in range(120):
+            n = int(rng.integers(1, 8))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.9)
+            mults = rng.integers(1, 4, size=len(pairs))
+            edges = tuple((i, j, int(m)) for (i, j), k, m in zip(pairs, keep, mults) if k)
+            g = NetworkGraph(n, edges)
+            value = chain_connectivity(g)
+            assert value == min_pair_connectivity(n, g.edge_units())
+            seen_zero += value == 0 and n > 1
+            seen_positive += value > 0
+        assert seen_zero and seen_positive
+        assert chain_connectivity(NetworkGraph(2, ())) == 0
+        assert chain_connectivity(NetworkGraph(1, ())) == 0
+
 
 class TestConnectivityBound:
     def test_complete_five(self):
