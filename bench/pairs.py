@@ -8,8 +8,10 @@ the working tree. Each pair uses a fresh seed for both sides, and the side
 that runs first alternates from pair to pair. The run length is
 ``run_seconds`` from ``BENCHMARK.json``. The result goes to
 ``BENCH_<workload>.json``: both revisions, the machine facts of the record
-line, every pair's metrics, and per metric the median and quartiles of each
-side and the number of pairs the change won. Standard library only.
+line, every pair's metrics and per-request median latencies, per metric the
+median and quartiles of each side and the number of pairs the change won,
+and per request the median over pairs of each side's median latency.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def run_once(tree, workload, seed, seconds):
         "failed": result["failed"],
         "correct": result["correct"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "p50_ms_by_request": record["p50_ms_by_request"],
     }
 
 
@@ -80,6 +83,21 @@ def summarize(pairs):
             "median_ratio": side["change"]["median"] / side["parent"]["median"],
             "median_gap_exceeds_parent_iqr": abs(delta) > side["parent"]["q3"] - side["parent"]["q1"],
         }
+    return out
+
+
+def summarize_requests(pairs):
+    """Per request kind and label: median over pairs of each side's median
+    latency in ms, and their ratio. A request with no successful run on a
+    side in some pair is left out."""
+    out = {}
+    for label in pairs[0]["change"]["p50_ms_by_request"]:
+        parent = [p["parent"]["p50_ms_by_request"].get(label) for p in pairs]
+        change = [p["change"]["p50_ms_by_request"].get(label) for p in pairs]
+        if None in parent or None in change:
+            continue
+        parent, change = statistics.median(parent), statistics.median(change)
+        out[label] = {"parent": parent, "change": change, "ratio": change / parent}
     return out
 
 
@@ -122,6 +140,7 @@ def main(argv=None):
         "change": change,
         "facts": facts,
         "summary": summarize(pairs),
+        "p50_ms_by_request": summarize_requests(pairs),
         "pairs": pairs,
     }
     (ROOT / f"BENCH_{args.workload}.json").write_text(json.dumps(report, indent=2) + "\n")

@@ -149,8 +149,11 @@ def classify(
     every level 1..K passes at ``tol`` without a scan. Otherwise levels are
     scanned upward from 1 at ``tol`` until the first failure, whose witness
     is the lexicographically first failing subset; levels above it are
-    marked failed without re-checking (``implied=True``).
+    marked failed without re-checking (``implied=True``). A ``max_k`` below
+    1 raises ValueError.
     """
+    if max_k is not None and max_k < 1:
+        raise ValueError(f"max_k={max_k} must be at least 1")
     check_budget(state, budget_dim)
     k_cap = state.n // 2
     if max_k is not None:

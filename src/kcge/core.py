@@ -25,9 +25,6 @@ HERMITICITY_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 PSD_EIGENVALUE_FLOOR = -1e-9
 UNITARY_ATOL = 1e-9
-# Gram-Schmidt candidates whose residual falls below this are treated as
-# linearly dependent and skipped.
-GRAM_SCHMIDT_RESIDUAL = 1e-10
 # schmidt_rank certifies full rank without an SVD when the smallest singular
 # value exceeds this share of the Frobenius norm (or twice the rank cutoff,
 # if larger): far above round-off, and far below a typical Haar cut up to
@@ -95,11 +92,13 @@ class PartySubset:
         return iter(self.members)
 
 
-def _require_finite(amps: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(amps))
+def _require_finite(
+    arr: np.ndarray, what: str, entries: str = "amplitudes", name: str = "amps"
+) -> None:
+    bad = np.argwhere(~np.isfinite(arr))[:8]
     if bad.size:
-        named = ", ".join(f"amps[{i}]={amps[i]}" for i in bad[:8])
-        raise ValueError(f"{what}: non-finite amplitudes {named}")
+        named = ", ".join(f"{name}[{', '.join(map(str, i))}]={arr[tuple(i)]}" for i in bad)
+        raise ValueError(f"{what}: non-finite {entries} {named}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -168,31 +167,43 @@ class PureState:
         )
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.dims, np.outer(self.amps, self.amps.conj()))
+        # A rank-1 outer product of a vector is positive semidefinite.
+        return DensityMatrix(self.dims, np.outer(self.amps, self.amps.conj()), check_psd=False)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, trace-one operator on a tensor space."""
+    """Hermitian, positive semidefinite, trace-one operator on a tensor space.
+
+    Every construction checks the shape, finite entries, Hermiticity and the
+    trace. The eigenvalue check for positive semidefiniteness is a full
+    ``eigvalsh``; ``check_psd=False`` skips it, and is passed only where the
+    matrix is built from a pure state and is positive semidefinite by
+    construction (``PureState.density``, the pure-state ``partial_trace``
+    and ``werner_state`` with 0 <= v <= 1).
+    """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    check_psd: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check_psd: bool):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         mat = np.asarray(self.matrix, dtype=np.complex128)
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+        _require_finite(mat, "density matrix", "entries", "matrix")
         if not np.allclose(mat, mat.conj().T, atol=HERMITICITY_ATOL):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1 within tolerance")
-        eigmin = float(np.linalg.eigvalsh(mat)[0])
-        if eigmin < PSD_EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
+        if check_psd:
+            eigmin = float(np.linalg.eigvalsh(mat)[0])
+            if eigmin < PSD_EIGENVALUE_FLOOR:
+                raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
         object.__setattr__(self, "matrix", _freeze(mat.copy()))
 
     @property
@@ -268,13 +279,15 @@ def partial_trace(state: "PureState | DensityMatrix", keep: PartySubset) -> Dens
     """Trace out every party not in ``keep``.
 
     The result is indexed by the kept parties in ascending party order.
-    Accepts either a pure state or a density matrix.
+    Accepts either a pure state or a density matrix. For a pure state the
+    result is M M^H with M the bipartite matrix, positive semidefinite by
+    construction, so only a mixed input pays the eigenvalue check.
     """
     _require_proper(keep, state.n, "partial trace")
     kept_dims = tuple(state.dims[p] for p in keep.members)
     if isinstance(state, PureState):
         mat = bipartite_matrix(state, keep)
-        return DensityMatrix(kept_dims, mat @ mat.conj().T)
+        return DensityMatrix(kept_dims, mat @ mat.conj().T, check_psd=False)
     n = state.n
     nd = state.matrix.reshape(state.dims + state.dims)
     letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -362,12 +375,16 @@ def schmidt_rank(
     return int(np.count_nonzero(sigma / sigma[0] > tol.rank_cutoff))
 
 
+def _orthonormal_columns(op: np.ndarray, atol: float) -> bool:
+    gram = op.conj().T @ op
+    return bool(np.max(np.abs(gram - np.eye(op.shape[1])), initial=0.0) < atol)
+
+
 def is_unitary(op: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         return False
-    gram = op.conj().T @ op
-    return bool(np.max(np.abs(gram - np.eye(op.shape[0]))) < atol)
+    return _orthonormal_columns(op, atol)
 
 
 def _apply_on_axes(state: PureState, op: np.ndarray, parties: Sequence[int]) -> np.ndarray:
@@ -454,32 +471,22 @@ def basis_state(dims: Sequence[int], index: int = 0) -> PureState:
     return PureState(dims, amps)
 
 
-def complete_basis(vectors: np.ndarray, residual: float = GRAM_SCHMIDT_RESIDUAL) -> np.ndarray:
+def complete_basis(vectors: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full orthonormal basis.
 
-    Candidates are the canonical basis vectors taken in index order; any
-    candidate whose residual after projection falls below ``residual`` is
-    skipped as linearly dependent. A second orthogonalization pass keeps the
-    result orthonormal to machine precision.
+    One Householder QR, V = Q R with Q square: for orthonormal V, R is
+    diagonal with unit-modulus entries, so the trailing columns of Q are an
+    orthonormal basis of the complement of span(V) (Golub & Van Loan,
+    Matrix Computations, section 5.2). The result is V followed by those
+    columns. Columns that are not orthonormal within UNITARY_ATOL raise
+    ValueError.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
-    dim, r = vectors.shape
-    cols = [vectors[:, i] for i in range(r)]
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[i] = 1.0
-        basis = np.column_stack(cols) if cols else np.zeros((dim, 0))
-        w = cand - basis @ (basis.conj().T @ cand)
-        w = w - basis @ (basis.conj().T @ w)
-        nrm = np.linalg.norm(w)
-        if nrm < residual:
-            continue
-        cols.append(w / nrm)
-    if len(cols) != dim:
-        raise RuntimeError("basis completion failed to reach full dimension")
-    return np.column_stack(cols)
+    if vectors.ndim != 2 or not _orthonormal_columns(vectors, UNITARY_ATOL):
+        raise ValueError("basis completion needs orthonormal columns within tolerance")
+    q = np.linalg.qr(vectors, mode="complete")[0]
+    q[:, : vectors.shape[1]] = vectors
+    return q
 
 
 def basis_change_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:

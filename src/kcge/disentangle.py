@@ -5,7 +5,7 @@ biseparable / k-connection channels to density matrices.
 The freeing unitary exists exactly when the Schmidt rank across the cut
 fits into the cut with one party factored out: rank <= dim(cut) / d_free.
 It maps each cut-side Schmidt vector to |0>_free x e_i and is completed to
-a full basis change by Gram-Schmidt over canonical vectors.
+a full basis change by a Householder QR of each column set.
 """
 
 from __future__ import annotations

@@ -95,10 +95,12 @@ def dicke(n: int, d: int, s: int) -> PureState:
         raise ValueError(f"excitation count s={s} out of range [0, {(d - 1) * n}]")
     guard_total_dim((d,) * n, DEFAULT_ZOO_BUDGET, "dicke")
     count = excitation_count(n, d, s)
-    digits = np.array(list(np.ndindex(*(d,) * n)))
-    mask = digits.sum(axis=1) == s
+    # Digit sum of every basis index, party 0 most significant.
+    digit_sum = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        digit_sum = np.add.outer(digit_sum, np.arange(d)).reshape(-1)
     amps = np.zeros(d**n, dtype=np.complex128)
-    amps[np.flatnonzero(mask)] = 1.0 / math.sqrt(count)
+    amps[digit_sum == s] = 1.0 / math.sqrt(count)
     return PureState((d,) * n, amps)
 
 

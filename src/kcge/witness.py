@@ -95,7 +95,8 @@ def werner_state(target: PureState, v: float) -> DensityMatrix:
         raise ValueError(f"visibility {v!r} outside [0, 1]")
     dim = target.total_dim
     mat = v * np.outer(target.amps, target.amps.conj()) + (1.0 - v) / dim * np.eye(dim)
-    return DensityMatrix(target.dims, mat)
+    # A convex mix of a pure state and I / dim is positive semidefinite.
+    return DensityMatrix(target.dims, mat, check_psd=False)
 
 
 def werner_visibility_threshold(r: float, dim: int) -> float:

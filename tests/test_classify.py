@@ -167,6 +167,13 @@ class TestClassify:
         assert report.max_cge_level == 1
         assert len(report.per_level) == 1
 
+    def test_max_k_below_one_is_rejected(self):
+        st = haar_state((2,) * 6, RNG)
+        for max_k in (0, -2):
+            with pytest.raises(ValueError, match="max_k"):
+                classify(st, max_k=max_k)
+        assert classify(st).max_cge_level == 3
+
     def test_heterogeneous_threshold_rule(self):
         # Chain-network joint state has dims (2, 4, 4, 2); the generalized
         # per-subset threshold dim(I)/min d must drive the verdicts.

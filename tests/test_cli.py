@@ -448,6 +448,17 @@ class TestExitCodes:
             assert code == 2
             assert "non-finite amplitudes" in err
 
+    def test_max_k_below_one_is_rejected(self, tmp_path, capsys):
+        state = write_json(
+            tmp_path / "state.json", state_to_dict(haar_state((2,) * 6, np.random.default_rng(3)))
+        )
+        for max_k in ("0", "-2"):
+            code, out, err = run(capsys, ["classify", "--state", state, "--max-k", max_k])
+            assert code == 2 and out == ""
+            assert "max_k" in err
+        code, out, _ = run(capsys, ["classify", "--state", state])
+        assert code == 0 and json.loads(out)["max_cge_level"] == 3
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["classify", "--state", "/nonexistent.json"])
         assert code == 2

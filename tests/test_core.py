@@ -26,7 +26,9 @@ from kcge import (
     swap_matrix,
 )
 from kcge.core import FULL_RANK_MARGIN, basis_change_unitary, complete_basis, guard_total_dim
+from kcge.disentangle import apply_biseparable_channel, identity_biseparable_channel
 from kcge.errors import BudgetExceededError
+from kcge.witness import werner_state
 
 from oracles import cut_matrix, gram_rank, loop_partial_trace, permutation_embed, svd_rank
 
@@ -95,12 +97,85 @@ class TestTypes:
             Tolerance(reconstruction_atol=1.0)
 
     def test_density_matrix_validation(self):
-        with pytest.raises(ValueError):
-            DensityMatrix((2,), np.array([[1.0, 0.5], [0.4, 0.0]]))  # not Hermitian
-        with pytest.raises(ValueError):
-            DensityMatrix((2,), np.eye(2))  # trace 2
-        with pytest.raises(ValueError):
-            DensityMatrix((2,), np.diag([1.5, -0.5]))  # negative eigenvalue
+        cases = [
+            ("not Hermitian", np.array([[1.0, 0.5], [0.4, 0.0]])),
+            ("trace", np.eye(2)),
+            ("negative eigenvalue", np.diag([1.5, -0.5])),
+            ("negative eigenvalue", np.diag([1.0 + 2e-9, -2e-9])),
+            ("non-finite entries", np.array([[0.5, np.inf], [np.inf, 0.5]])),
+        ]
+        for message, mat in cases:
+            with pytest.raises(ValueError, match=message):
+                DensityMatrix((2,), mat)
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            mat = np.diag([0.5, 0.5]).astype(complex)
+            mat[1, 0] = bad
+            with pytest.raises(ValueError, match=r"non-finite entries matrix\[1, 0\]"):
+                DensityMatrix((2,), mat)
+
+
+class TestDensityValidation:
+    def test_eigenvalue_floor(self):
+        rho = DensityMatrix((2,), np.diag([1.0 + 0.5e-9, -0.5e-9]))
+        assert rho.eigenvalues()[0] == pytest.approx(-0.5e-9, abs=1e-15)
+
+    def test_pure_state_constructions_reject_off_norm_states(self):
+        # Within NORM_ATOL the state is accepted, but its density matrix has
+        # trace |amps|^2, about 1 + 2e-7, beyond TRACE_ATOL.
+        amps = haar_state((2, 2), RNG).amps * (1.0 + 1e-7)
+        st = PureState((2, 2), amps)
+        for build in (
+            st.density,
+            lambda: partial_trace(st, sub([0], 2)),
+            lambda: werner_state(st, 0.5),
+        ):
+            with pytest.raises(ValueError, match="trace"):
+                build()
+        unnormalized = PureState((2, 2), amps * 2.0, check_norm=False)
+        with pytest.raises(ValueError, match="trace"):
+            unnormalized.density()
+
+    def test_werner_visibility_outside_unit_interval(self):
+        target = haar_state((2, 2), RNG)
+        for v in (-1e-12, 1.0 + 1e-12, -0.5, 2.0, np.nan):
+            with pytest.raises(ValueError, match="visibility"):
+                werner_state(target, v)
+
+    def test_pure_constructions_are_psd_by_oracle(self):
+        for _ in range(40):
+            n = int(RNG.integers(2, 6))
+            dims = tuple(int(d) for d in RNG.integers(2, 4, size=n))
+            st = haar_state(dims, RNG)
+            keep = sub(RNG.choice(n, size=int(RNG.integers(1, n)), replace=False), n)
+            for rho in (
+                st.density(),
+                partial_trace(st, keep),
+                werner_state(st, float(RNG.random())),
+                werner_state(st, 1.0),
+            ):
+                assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
+
+    def test_eigensolve_runs_only_where_psd_is_not_given(self, monkeypatch):
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        st = haar_state((2, 3, 2), RNG)
+        rho = st.density()
+        partial_trace(st, sub([0, 2], 3))
+        werner_state(st, 0.3)
+        assert not calls
+        DensityMatrix(st.dims, rho.matrix)
+        assert len(calls) == 1
+        partial_trace(rho, sub([0, 2], 3))
+        assert len(calls) == 2
+        cut = sub([0], 3)
+        apply_biseparable_channel(rho, identity_biseparable_channel(st.dims, cut))
+        assert len(calls) == 3
 
 
 class TestPartialTrace:
@@ -372,6 +447,48 @@ class TestOperatorTools:
         full = complete_basis(vecs)
         assert np.allclose(full.conj().T @ full, np.eye(6), atol=1e-10)
         assert np.allclose(full[:, :2], vecs)
+
+    @staticmethod
+    def assert_completes(vecs):
+        dim, r = vecs.shape
+        full = complete_basis(vecs)
+        assert full.shape == (dim, dim)
+        assert np.max(np.abs(full[:, :r] - vecs), initial=0.0) <= 1e-12
+        assert np.max(np.abs(full.conj().T @ full - np.eye(dim))) <= 1e-12
+
+    def test_complete_basis_edge_ranks(self):
+        for dim in (2, 3, 5, 8, 17, 64, 256, 512):
+            u = haar_unitary(dim, RNG)
+            for r in sorted({0, 1, dim - 1, dim}):
+                self.assert_completes(u[:, :r])
+            self.assert_completes(np.eye(dim, dtype=complex)[:, ::-1][:, : dim // 2])
+
+    def test_complete_basis_of_schmidt_vectors(self):
+        for dims, cut in [((2, 3, 4), (0, 2)), ((3, 2, 2), (1,)), ((2, 5, 3, 2), (1, 3)),
+                          ((4, 4, 2), (0, 1))]:
+            st = haar_state(dims, RNG)
+            for sd in (schmidt(st, sub(cut, len(dims))), schmidt(basis_state(dims), sub(cut, len(dims)))):
+                self.assert_completes(sd.basis_cut)
+                self.assert_completes(sd.basis_rest)
+            mat = cut_matrix(st.amps, dims, cut)
+            u, _, vh = np.linalg.svd(mat)
+            self.assert_completes(u)
+            self.assert_completes(u[:, :-1])
+            self.assert_completes(vh.conj().T[:, :1])
+
+    def test_complete_basis_rejects_non_orthonormal_columns(self):
+        u = haar_unitary(4, RNG)
+        bad = [
+            u[:, :2] * 1.001,  # not unit length
+            np.column_stack([u[:, 0], u[:, 0]]),  # dependent
+            np.column_stack([u[:, 0], (u[:, 0] + u[:, 1]) / np.sqrt(2)]),  # not orthogonal
+            np.ones((3, 4)) / np.sqrt(3),  # more columns than dimensions
+            np.full((2, 1), np.nan),
+            np.ones(4) / 2,  # not a matrix
+        ]
+        for vecs in bad:
+            with pytest.raises(ValueError, match="orthonormal"):
+                complete_basis(vecs)
 
     def test_basis_change_maps_sources_to_targets(self):
         src = np.linalg.qr(RNG.standard_normal((5, 3)) + 1j * RNG.standard_normal((5, 3)))[0]

@@ -122,6 +122,18 @@ class TestDicke:
                 brute = sum(1 for t in product(range(3), repeat=n) if sum(t) == s)
                 assert excitation_count(n, 3, s) == brute
 
+    def test_amplitudes_match_enumeration_bytes(self):
+        from itertools import product
+
+        for n in range(1, 9):
+            for d in (2, 3, 4):
+                # Basis indices in row-major order, party 0 most significant.
+                sums = np.array([sum(t) for t in product(range(d), repeat=n)])
+                for s in range((d - 1) * n + 1):
+                    expected = np.zeros(d**n, dtype=np.complex128)
+                    expected[sums == s] = 1.0 / math.sqrt(int(np.count_nonzero(sums == s)))
+                    assert dicke(n, d, s).amps.tobytes() == expected.tobytes(), (n, d, s)
+
     def test_out_of_range_excitations(self):
         with pytest.raises(ValueError):
             dicke(3, 2, 4)
