@@ -48,7 +48,6 @@ from .disentangle import (
 from .errors import (
     BudgetExceededError,
     ChannelCompletenessError,
-    CrossCheckError,
     DisentangleRankError,
 )
 from .network import (

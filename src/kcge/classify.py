@@ -39,14 +39,15 @@ from dataclasses import dataclass, replace
 
 from .core import (
     DEFAULT_TOLERANCE,
+    DIM_BUDGET,
     PartySubset,
     PureState,
     Tolerance,
+    guard_total_dim,
     schmidt_rank,
 )
 from .errors import BudgetExceededError
 
-DIM_BUDGET = 2**16
 SUBSET_BUDGET = 10**6
 
 
@@ -56,10 +57,7 @@ def subset_threshold(dims: tuple[int, ...], members: tuple[int, ...]) -> int:
 
 
 def check_budget(state: PureState, budget_dim: int = DIM_BUDGET) -> None:
-    if state.total_dim > budget_dim:
-        raise BudgetExceededError(
-            f"state dimension {state.total_dim} exceeds budget {budget_dim}"
-        )
+    guard_total_dim(state.dims, budget_dim, "classify")
     n = state.n
     if math.comb(n, n // 2) > SUBSET_BUDGET:
         raise BudgetExceededError(

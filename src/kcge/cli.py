@@ -16,8 +16,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import DIM_BUDGET, classify
+from .classify import classify
 from .core import (
+    DIM_BUDGET,
     PartySubset,
     Tolerance,
     apply_local_operator,
@@ -28,7 +29,7 @@ from .core import (
 from .disentangle import build_disentangling_unitary, two_depth_decompose
 from .errors import BudgetExceededError
 from .network import NetworkGraph, network_bound, cross_check
-from .states import DEFAULT_ZOO_BUDGET, family_from_dict
+from .states import family_from_dict
 from .witness import (
     exact_radius,
     ghz_witness,
@@ -68,13 +69,9 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
-
-
-def _emit_array_json(obj: dict, out: str | None) -> None:
-    """Emit ``obj``, whose values may be complex ndarrays, byte for byte as
-    ``_emit_json`` emits it with every array written as nested ``[re, im]``
-    lists (the state JSON format)."""
+    """Emit ``obj`` byte for byte as ``json.dumps(obj, sort_keys=True,
+    indent=2)`` plus a newline, where dict values may be complex ndarrays,
+    written as nested ``[re, im]`` lists (the state JSON format)."""
     _emit(_json_text(obj, 0) + "\n", out)
 
 
@@ -136,11 +133,11 @@ def _cmd_generate(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="kcge generate")
     parser.add_argument("--family", required=True, help="family spec JSON file")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--budget-dim", type=int, default=DEFAULT_ZOO_BUDGET)
+    parser.add_argument("--budget-dim", type=int, default=DIM_BUDGET)
     args = parser.parse_args(argv)
     family = family_from_dict(_load_json(args.family))
     state = family.build(budget=args.budget_dim)
-    _emit_array_json({"dims": list(state.dims), "amps": state.amps}, args.out)
+    _emit_json({"dims": list(state.dims), "amps": state.amps}, args.out)
     return 0
 
 
@@ -172,7 +169,7 @@ def _cmd_disentangle(argv: list[str]) -> int:
     freed = partial_trace(output, PartySubset((args.free,), state.n))
     fidelity = float(np.real(freed.matrix[0, 0]))
     gram = unitary.conj().T @ unitary
-    _emit_array_json(
+    _emit_json(
         {
             "cut": list(cut.members),
             "free": args.free,
@@ -198,7 +195,7 @@ def _cmd_decompose(argv: list[str]) -> int:
     dec = two_depth_decompose(state, _tolerance(args), pivot=args.pivot, freed=args.freed)
     rebuilt = dec.prepare(state.dims)
     error = float(np.max(np.abs(rebuilt.amps - state.amps)))
-    _emit_array_json(
+    _emit_json(
         {
             "pivot": dec.pivot,
             "freed": dec.freed,
@@ -294,7 +291,7 @@ def _cmd_cross_check(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="kcge cross-check")
     parser.add_argument("--graph", required=True)
     parser.add_argument("--states", default=None, help="edge-state JSON list")
-    parser.add_argument("--budget-dim", type=int, default=2**14)
+    parser.add_argument("--budget-dim", type=int, default=DIM_BUDGET)
     _add_common(parser)
     args = parser.parse_args(argv)
     graph = NetworkGraph.from_dict(_load_json(args.graph))
@@ -303,7 +300,6 @@ def _cmd_cross_check(argv: list[str]) -> int:
         _edge_states_from(args.states),
         tol=_tolerance(args),
         budget=args.budget_dim,
-        strict=False,
     )
     _emit_json(record.to_dict(), args.out)
     return 0

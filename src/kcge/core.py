@@ -521,6 +521,11 @@ def haar_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
     return PureState(dims, z / np.linalg.norm(z))
 
 
+# Default total-dimension budget of every state build and every subset scan;
+# each of them takes a budget argument and guards with the value it is given.
+DIM_BUDGET = 2**16
+
+
 def guard_total_dim(dims: Iterable[int], budget: int, what: str) -> None:
     """Refuse dims whose product exceeds ``budget``, stopping at the first
     party that takes the running product past it."""

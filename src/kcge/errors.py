@@ -26,7 +26,3 @@ class DisentangleRankError(ValueError):
 
 class ChannelCompletenessError(ValueError):
     """Kraus terms of a channel do not sum to the identity within tolerance."""
-
-
-class CrossCheckError(RuntimeError):
-    """A graph-level bound contradicts the state-level classifier."""

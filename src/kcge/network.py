@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .core import PartySubset, Tolerance, DEFAULT_TOLERANCE
-from .errors import CrossCheckError
+from .core import DEFAULT_TOLERANCE, DIM_BUDGET, PartySubset, Tolerance
 
 
 @dataclass(frozen=True)
@@ -324,26 +323,21 @@ def cross_check(
     g: NetworkGraph,
     edge_states=None,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    budget: int | None = None,
-    strict: bool = True,
+    budget: int = DIM_BUDGET,
 ) -> CrossCheckRecord:
     """Build the joint network state, classify it, and compare against the
-    graph-level bound. Raises CrossCheckError when ``strict`` and the
-    classifier exceeds the bound (which would falsify the bound)."""
+    graph-level bound. ``consistent`` is False when the classifier exceeds
+    the bound, which would falsify the bound. ``budget`` caps the joint
+    state's total dimension for both the build and the scan."""
     from .classify import classify
-    from .states import network_joint_state, NETWORK_STATE_BUDGET
+    from .states import network_joint_state
 
-    joint = network_joint_state(
-        g, edge_states, budget=NETWORK_STATE_BUDGET if budget is None else budget
-    )
+    joint = network_joint_state(g, edge_states, budget=budget)
     report = network_bound(g)
-    level = classify(joint, tol).max_cge_level
-    consistent = level <= report.cge_upper_bound
-    if strict and not consistent:
-        raise CrossCheckError(
-            f"classifier level {level} exceeds graph bound {report.cge_upper_bound}"
-        )
-    return CrossCheckRecord(report=report, classifier_level=level, consistent=consistent)
+    level = classify(joint, tol, budget_dim=budget).max_cge_level
+    return CrossCheckRecord(
+        report=report, classifier_level=level, consistent=level <= report.cge_upper_bound
+    )
 
 
 # --- topology corpus ---------------------------------------------------------

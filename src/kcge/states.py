@@ -17,16 +17,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PureState, guard_total_dim
+from .core import DIM_BUDGET, PureState, guard_total_dim
 from .network import NetworkGraph
 
-DEFAULT_ZOO_BUDGET = 2**16
-# Joint network states feed the classifier cross-check, which only accepts
-# modest sizes; refuse anything beyond this before allocating.
-NETWORK_STATE_BUDGET = 2**14
+
+def checked_coefficients(
+    a: Sequence[float], size: int | None = None
+) -> tuple[np.ndarray, float]:
+    """The coefficient vector as floats and its sum of squares, refusing a
+    vector of the wrong ``size`` or one whose sum of squares is not 1
+    within 1e-9."""
+    a = np.asarray(a, dtype=float)
+    if size is not None and a.size != size:
+        raise ValueError(f"expected {size} coefficients, got {a.size}")
+    ssq = float(np.sum(a**2))
+    if abs(ssq - 1.0) > 1e-9:
+        raise ValueError(f"coefficients are not normalized: sum a_i^2 = {ssq!r}")
+    return a, ssq
 
 
-def ghz(n: int, d: int, a: Sequence[float]) -> PureState:
+def ghz(n: int, d: int, a: Sequence[float], budget: int = DIM_BUDGET) -> PureState:
     """Generalized GHZ state: amplitude a_i on each |i i ... i>.
 
     Requires n >= 2 parties, local dimension d >= 2, and a normalized
@@ -34,13 +44,8 @@ def ghz(n: int, d: int, a: Sequence[float]) -> PureState:
     """
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    a = np.asarray(a, dtype=float)
-    if a.size != d:
-        raise ValueError(f"expected {d} coefficients, got {a.size}")
-    ssq = float(np.sum(a**2))
-    if abs(ssq - 1.0) > 1e-9:
-        raise ValueError(f"coefficients are not normalized: sum a_i^2 = {ssq!r}")
-    guard_total_dim((d,) * n, DEFAULT_ZOO_BUDGET, "ghz")
+    a, ssq = checked_coefficients(a, d)
+    guard_total_dim(repeat(d, n), budget, "ghz")
     amps = np.zeros(d**n, dtype=np.complex128)
     step = (d**n - 1) // (d - 1)  # index of |i...i> is i * (d^{n-1} + ... + 1)
     for i in range(d):
@@ -48,7 +53,7 @@ def ghz(n: int, d: int, a: Sequence[float]) -> PureState:
     return PureState((d,) * n, amps / math.sqrt(ssq))
 
 
-def w_type(n: int, a: Sequence[float]) -> PureState:
+def w_type(n: int, a: Sequence[float], budget: int = DIM_BUDGET) -> PureState:
     """W-type qubit state: a_i on the single-excitation vector |1_i> for
     i = 1..n plus a_{n+1} on |1...1>.
 
@@ -57,13 +62,8 @@ def w_type(n: int, a: Sequence[float]) -> PureState:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    a = np.asarray(a, dtype=float)
-    if a.size != n + 1:
-        raise ValueError(f"expected {n + 1} coefficients, got {a.size}")
-    ssq = float(np.sum(a**2))
-    if abs(ssq - 1.0) > 1e-9:
-        raise ValueError(f"coefficients are not normalized: sum a_i^2 = {ssq!r}")
-    guard_total_dim((2,) * n, DEFAULT_ZOO_BUDGET, "w_type")
+    a, ssq = checked_coefficients(a, n + 1)
+    guard_total_dim(repeat(2, n), budget, "w_type")
     amps = np.zeros(2**n, dtype=np.complex128)
     for p in range(n):
         amps[1 << (n - 1 - p)] = a[p]
@@ -86,14 +86,14 @@ def excitation_count(n: int, d: int, s: int) -> int:
     return counts[s]
 
 
-def dicke(n: int, d: int, s: int) -> PureState:
+def dicke(n: int, d: int, s: int, budget: int = DIM_BUDGET) -> PureState:
     """n-qudit Dicke state with s total excitations: equal weight on every
     basis vector whose digits sum to s."""
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     if not 0 <= s <= (d - 1) * n:
         raise ValueError(f"excitation count s={s} out of range [0, {(d - 1) * n}]")
-    guard_total_dim((d,) * n, DEFAULT_ZOO_BUDGET, "dicke")
+    guard_total_dim(repeat(d, n), budget, "dicke")
     count = excitation_count(n, d, s)
     # Digit sum of every basis index, party 0 most significant.
     digit_sum = np.zeros(1, dtype=np.int64)
@@ -230,7 +230,7 @@ def _phase_on_axes(nd: np.ndarray, axes: Sequence[int], angle: float) -> None:
 def cluster_from_epr(
     edges: Sequence[tuple[int, int, float]],
     phases: Sequence[tuple[int, int, int, float]] = (),
-    budget: int = DEFAULT_ZOO_BUDGET,
+    budget: int = DIM_BUDGET,
 ) -> PureState:
     """Cluster-type joint state built from two-qubit entangled edges.
 
@@ -266,7 +266,7 @@ def graph_from_epr_ghz(
     epr_edges: Sequence[tuple[int, int, float]],
     ghz_hyperedges: Sequence[tuple[Sequence[int], float]] = (),
     joint_phases: Sequence[tuple[int, Sequence[int], float]] = (),
-    budget: int = DEFAULT_ZOO_BUDGET,
+    budget: int = DIM_BUDGET,
 ) -> PureState:
     """Graph-type joint state from two-qubit edges and GHZ-type hyperedges.
 
@@ -311,7 +311,7 @@ def graph_from_epr_ghz(
 def network_joint_state(
     graph: NetworkGraph,
     edge_states: Sequence[PureState] | None = None,
-    budget: int = NETWORK_STATE_BUDGET,
+    budget: int = DIM_BUDGET,
 ) -> PureState:
     """Joint state of a network: one bipartite state per edge unit, each
     party's local factors grouped into a single qudit.
@@ -366,19 +366,16 @@ class StateFamily:
     parameters: dict = field(default_factory=dict)
     claimed_cge: int | None = None
 
-    def build(self, budget: int = DEFAULT_ZOO_BUDGET) -> PureState:
+    def build(self, budget: int = DIM_BUDGET) -> PureState:
         """Build the state, refusing any whose total dimension exceeds
         ``budget`` before allocating it."""
         p = self.parameters
-        if self.kind in ("ghz", "w_type", "dicke"):
-            d = 2 if self.kind == "w_type" else p["d"]
-            guard_total_dim(repeat(d, p["n"]), budget, self.kind)
         if self.kind == "ghz":
-            return ghz(p["n"], p["d"], p["a"])
+            return ghz(p["n"], p["d"], p["a"], budget=budget)
         if self.kind == "w_type":
-            return w_type(p["n"], p["a"])
+            return w_type(p["n"], p["a"], budget=budget)
         if self.kind == "dicke":
-            return dicke(p["n"], p["d"], p["s"])
+            return dicke(p["n"], p["d"], p["s"], budget=budget)
         if self.kind == "cluster":
             return cluster_from_epr(p["edges"], p.get("phases", ()), budget=budget)
         if self.kind == "graph":
@@ -390,7 +387,7 @@ class StateFamily:
             )
         if self.kind == "network":
             graph = NetworkGraph.from_dict(p["graph"])
-            return network_joint_state(graph, p.get("edge_states"), budget=min(budget, NETWORK_STATE_BUDGET))
+            return network_joint_state(graph, p.get("edge_states"), budget=budget)
         if self.kind == "product":
             dims = tuple(int(d) for d in p["dims"])
             guard_total_dim(dims, budget, "product")

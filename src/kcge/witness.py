@@ -17,6 +17,7 @@ import numpy as np
 
 from .classify import subset_threshold
 from .core import DensityMatrix, PartySubset, PureState, schmidt
+from .states import checked_coefficients
 
 PROVENANCES = (
     "closed_form_ghz",
@@ -60,10 +61,7 @@ def radius_ghz(a) -> float:
     The coefficient vector is normalized by its squared norm so that exact
     rational radii (such as 0.5 for the balanced pair) come out exact.
     """
-    a = np.asarray(a, dtype=float)
-    ssq = float(np.sum(a**2))
-    if abs(ssq - 1.0) > 1e-9:
-        raise ValueError(f"coefficients are not normalized: sum a_i^2 = {ssq!r}")
+    a, ssq = checked_coefficients(a)
     return float(np.max(a**2) / ssq)
 
 
@@ -74,12 +72,7 @@ def radius_w4(level: int, a) -> float:
     level 2: max(1 - a_5^2, 1 - a_i^2 - a_j^2) over pairs i < j <= 4;
     level 1: max(a_5^2, a_i^2 + a_j^2) over the same pairs.
     """
-    a = np.asarray(a, dtype=float)
-    if a.size != 5:
-        raise ValueError(f"expected 5 coefficients, got {a.size}")
-    ssq = float(np.sum(a**2))
-    if abs(ssq - 1.0) > 1e-9:
-        raise ValueError(f"coefficients are not normalized: sum a_i^2 = {ssq!r}")
+    a, ssq = checked_coefficients(a, 5)
     sq = a**2 / ssq
     pair_sums = [sq[i] + sq[j] for i, j in combinations(range(4), 2)]
     if level == 2:

@@ -22,7 +22,7 @@ from kcge import (
     state_to_dict,
     two_depth_decompose,
 )
-from kcge.cli import _emit_array_json, main
+from kcge.cli import _emit_json, main
 
 
 def write_json(path, obj):
@@ -167,6 +167,65 @@ class TestGenerateClassify:
         assert "ghz: total dimension exceeds budget" in err
 
 
+class TestBudgetDim:
+    """One --budget-dim bounds generate, classify and cross-check, and a
+    refusal names the budget that was passed."""
+
+    # Each family is 2^17-dimensional, except the network, whose squared
+    # edge dims cannot make 2^17: four qutrit and two qubit edges give
+    # 3^8 * 2^4 = 104976. All exceed the default 2^16.
+    FAMILIES = [
+        {"family": "ghz", "n": 17, "d": 2, "a": [2**-0.5, 2**-0.5]},
+        {"family": "w_type", "n": 17, "a": [18**-0.5] * 18},
+        {"family": "dicke", "n": 17, "d": 2, "s": 1},
+        {
+            "family": "network",
+            "graph": {
+                "n": 7,
+                "edges": [[i, i + 1, 1, 3 if i < 4 else 2] for i in range(6)],
+            },
+        },
+        {"family": "product", "dims": [2] * 17},
+    ]
+
+    def test_generate_uses_the_budget_given(self, tmp_path, capsys):
+        target = tmp_path / "state.json"
+        for spec in self.FAMILIES:
+            fam = write_json(tmp_path / "fam.json", spec)
+            argv = ["generate", "--family", fam, "--out", str(target)]
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == ""
+            assert f"total dimension exceeds budget {2**16} " in err
+            code, out, err = run(capsys, argv + ["--budget-dim", str(2**17)])
+            assert code == 0 and out == "" and err == ""
+            state = json.loads(target.read_text())
+            assert 2**16 < math.prod(state["dims"]) == len(state["amps"]) <= 2**17
+
+    def test_cross_check_classifies_under_the_budget_given(self, tmp_path, capsys):
+        chain10 = {"n": 10, "edges": [[i, i + 1, 1] for i in range(9)]}
+        graph = write_json(tmp_path / "g.json", chain10)
+        code, out, err = run(capsys, ["cross-check", "--graph", graph])
+        assert code == 3 and f"exceeds budget {2**16} " in err
+        code, out, _ = run(capsys, ["cross-check", "--graph", graph, "--budget-dim", str(2**18)])
+        assert code == 0
+        record = json.loads(out)
+        assert record["classifier_level"] == 1 and record["consistent"] is True
+
+    def test_refusal_names_the_budget_passed(self, tmp_path, capsys):
+        ghz5 = {"family": "ghz", "n": 5, "d": 2, "a": [2**-0.5, 2**-0.5]}
+        fam = write_json(tmp_path / "fam.json", ghz5)
+        state = write_json(tmp_path / "state.json", state_to_dict(family_from_dict(ghz5).build()))
+        graph = write_json(tmp_path / "g.json", CHAIN4)
+        for argv, what in (
+            (["generate", "--family", fam], "ghz"),
+            (["classify", "--state", state], "classify"),
+            (["cross-check", "--graph", graph], "network_joint_state"),
+        ):
+            code, out, err = run(capsys, argv + ["--budget-dim", "16"])
+            assert code == 3 and out == ""
+            assert err.startswith(f"budget refused: {what}: total dimension exceeds budget 16 ")
+
+
 class TestDisentangleDecompose:
     def test_disentangle_ghz(self, tmp_path, capsys):
         fam = write_json(tmp_path / "fam.json", GHZ3_FAMILY)
@@ -211,7 +270,7 @@ class TestArrayJson:
     the oracle's byte for byte."""
 
     def emitted(self, capsys, obj):
-        _emit_array_json(obj, None)
+        _emit_json(obj, None)
         return capsys.readouterr().out
 
     def test_special_values_in_both_parts(self, capsys):

@@ -1,5 +1,7 @@
 """Graph-level bounds: degree profiles, connectivity, greedy search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from kcge import (
     network_joint_state,
     star_network,
 )
+import kcge.network as network_module
 from kcge.errors import BudgetExceededError
 from kcge.network import NetworkGraph, connectivity_biseparable_size
 
@@ -274,6 +277,17 @@ class TestCrossCheck:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             cross_check(complete_network(6))
+
+    def test_bound_below_the_classifier_is_recorded_not_raised(self, monkeypatch):
+        g = complete_network(4)
+        report = network_bound(g)
+        low = dataclasses.replace(report, cge_upper_bound=1)
+        monkeypatch.setattr(network_module, "network_bound", lambda graph: low)
+        rec = cross_check(g)
+        assert rec.classifier_level == 2
+        assert rec.report is low
+        assert rec.consistent is False
+        assert rec.to_dict()["consistent"] is False
 
     def test_soundness_on_corpus(self):
         # Wherever the degree condition fired at size b and the joint state

@@ -21,6 +21,8 @@ from kcge import (
     graph_from_epr_ghz,
     max_entangled_pair,
     network_joint_state,
+    radius_ghz,
+    radius_w4,
     schmidt_rank,
     w_type,
 )
@@ -66,6 +68,26 @@ class TestGhz:
             ghz(3, 2, [1.0, 1.0])
         with pytest.raises(ValueError):
             ghz(1, 2, [1.0, 0.0])
+
+
+class TestCoefficients:
+    def test_one_normalization_check_for_every_family(self):
+        # The sum of squares must be 1 within 1e-9, and each caller but
+        # radius_ghz fixes the vector's size.
+        callers = [
+            (lambda a: ghz(3, 3, a), 3),
+            (lambda a: w_type(4, a), 5),
+            (radius_ghz, None),
+            (lambda a: radius_w4(2, a), 5),
+        ]
+        for build, size in callers:
+            unit = np.full(size or 4, (size or 4) ** -0.5)
+            build(unit * math.sqrt(1 + 5e-10))
+            with pytest.raises(ValueError, match="coefficients are not normalized"):
+                build(unit * math.sqrt(1 + 2e-9))
+            if size is not None:
+                with pytest.raises(ValueError, match=f"expected {size} coefficients, got {size + 1}"):
+                    build(np.full(size + 1, (size + 1) ** -0.5))
 
 
 class TestWType:
