@@ -101,6 +101,20 @@ def _require_finite(
         raise ValueError(f"{what}: non-finite {entries} {named}")
 
 
+def _require_size(dims: tuple[int, ...], size: int, what: str) -> None:
+    """Refuse ``size`` amplitudes unless it equals prod(dims), stopping at the
+    first party that takes the running product past ``size``."""
+    total = 1
+    for count, d in enumerate(dims, start=1):
+        total *= d
+        if total > size:
+            raise ValueError(
+                f"{what}: {size} amplitudes, but the first {count} dims already give {total}"
+            )
+    if total != size:
+        raise ValueError(f"{what}: {size} amplitudes, expected prod(dims)={total}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -128,11 +142,7 @@ class PureState:
         if any(d < 2 for d in dims):
             raise ValueError(f"local dimensions must be at least 2, got {dims}")
         amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
-        expected = math.prod(dims)
-        if amps.size != expected:
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, expected prod(dims)={expected}"
-            )
+        _require_size(dims, amps.size, "state")
         _require_finite(amps, "state")
         if check_norm:
             nrm = float(np.linalg.norm(amps))
@@ -559,10 +569,7 @@ def state_from_dict(obj: dict) -> PureState:
     dims = [int(d) for d in obj["dims"]]
     pairs = obj["amps"]
     amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if amps.size != math.prod(dims):
-        raise ValueError(
-            f"state JSON: {amps.size} amplitudes, expected {math.prod(dims)}"
-        )
+    _require_size(dims, amps.size, "state JSON")
     _require_finite(amps, "state JSON")
     nrm = float(np.linalg.norm(amps))
     if abs(nrm - 1.0) > NORM_ATOL:

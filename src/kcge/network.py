@@ -4,16 +4,19 @@ A network is a multigraph of parties; every edge unit is one shared
 bipartite entangled state. Two bounds are computed: a degree condition that
 certifies a subset can jointly disentangle one of its parties by
 entanglement swapping, and a chain-connectivity bound from edge-disjoint
-paths. The greedy subset search turns the degree condition into an upper
-bound on the connection level in O(n^4) edge-unit operations.
+paths. Both read one n x n matrix of edge-unit counts. The greedy subset
+search turns the degree condition into an upper bound on the connection
+level in O(n^4) matrix-entry reads (O(n^2) array operations), and the
+connectivity is a global minimum cut, found by Stoer-Wagner in O(n^3).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
+import numpy as np
 
 from .core import DEFAULT_TOLERANCE, DIM_BUDGET, PartySubset, Tolerance
 
@@ -60,15 +63,23 @@ class NetworkGraph:
             units.extend([(i, j, dim)] * mult)
         return units
 
+    @functools.cached_property
+    def units(self) -> np.ndarray:
+        """Read-only symmetric matrix whose entry (i, j) counts the edge
+        units between parties i and j, summed over local dimensions."""
+        units = np.zeros((self.n, self.n), dtype=np.int64)
+        for i, j, mult, _d in self.edges:
+            units[i, j] += mult
+        units += units.T
+        units.flags.writeable = False
+        return units
+
     def degree(self, party: int) -> int:
         """Connectedness degree: number of edge units incident to ``party``."""
-        return sum(
-            mult for i, j, mult, _d in self.edges if party in (i, j)
-        )
+        return int(self.units[party].sum())
 
     def units_between(self, a: int, b: int) -> int:
-        lo, hi = min(a, b), max(a, b)
-        return sum(mult for i, j, mult, _d in self.edges if (i, j) == (lo, hi))
+        return int(self.units[a, b])
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [[i, j, m, d] for i, j, m, d in self.edges]}
@@ -96,18 +107,12 @@ class DegreeProfile:
 def degree_profile(g: NetworkGraph, subset: PartySubset, party: int) -> DegreeProfile:
     if party not in subset.members:
         raise ValueError(f"party {party} is not in subset {subset.members}")
-    inside = set(subset.members)
-    s_in = s_out = t = 0
-    for i, j, mult, _d in g.edges:
-        if party in (i, j):
-            other = j if i == party else i
-            if other in inside:
-                s_in += mult
-            else:
-                s_out += mult
-        elif i in inside and j in inside:
-            t += mult
-    return DegreeProfile(subset=subset, party=party, s_in=s_in, s_out=s_out, t=t)
+    members = list(subset.members)
+    s_in = int(g.units[party, members].sum())
+    # The members' block counts every inner unit twice: the party's s_in
+    # units and the t units between the other members.
+    t = int(g.units[np.ix_(members, members)].sum()) // 2 - s_in
+    return DegreeProfile(subset, party, s_in, g.degree(party) - s_in, t)
 
 
 def degree_condition_fires(profile: DegreeProfile) -> bool:
@@ -124,18 +129,30 @@ def chain_connectivity(g: NetworkGraph) -> int:
     """Minimum over party pairs of the number of edge-disjoint paths
     between them (unit capacity per edge unit); 0 for disconnected graphs.
 
-    A global minimum cut separates party 0 from some party b, so the n - 1
-    flows from party 0 give the minimum over all pairs (Gomory & Hu, 1961).
+    By Menger's theorem this is the global minimum edge cut, found by
+    Stoer-Wagner maximum-adjacency phases (J. ACM 44(4), 1997): each phase
+    adds the parties one at a time, always the one with the most units into
+    the added set; the last one's units at that point are a cut, and the
+    last two parties are then merged.
     """
-    flow_graph = nx.Graph()
-    flow_graph.add_nodes_from(range(g.n))
-    for i, j, mult, _d in g.edges:
-        if flow_graph.has_edge(i, j):
-            flow_graph[i][j]["capacity"] += mult
-        else:
-            flow_graph.add_edge(i, j, capacity=mult)
-    flows = (nx.maximum_flow_value(flow_graph, 0, b, capacity="capacity") for b in range(1, g.n))
-    return int(min(flows, default=0))
+    w = g.units.copy()
+    alive = list(range(g.n))
+    cuts = []
+    while len(alive) > 1:
+        # Units from the added set into each party; -inf once added or merged.
+        weight = np.full(g.n, -np.inf)
+        weight[alive] = 0
+        prev = last = None
+        for _ in alive:
+            prev, last = last, int(np.argmax(weight))
+            cut = weight[last]
+            weight += w[last]
+            weight[last] = -np.inf
+        cuts.append(int(cut))
+        w[prev] += w[last]
+        w[:, prev] += w[:, last]
+        alive.remove(last)
+    return min(cuts, default=0)
 
 
 def connectivity_biseparable_size(c: int) -> int:
@@ -243,15 +260,11 @@ def _grow_from_seed(g: NetworkGraph, seed: int) -> SeedTrace:
             break
         if len(members) >= max_size:
             break
-        inside = set(members)
-        shared = [0] * g.n
-        for i, j, mult, _d in g.edges:
-            if (i in inside) != (j in inside):
-                outside_party = j if i in inside else i
-                shared[outside_party] += mult
-        candidates = [p for p in range(g.n) if p not in inside]
-        # Most shared edge units first, lowest index on ties.
-        nxt = max(candidates, key=lambda p: (shared[p], -p))
+        shared = g.units[members].sum(axis=0)
+        shared[members] = -1
+        # Most shared edge units first, lowest index on ties (argmax takes
+        # the first maximum).
+        nxt = int(np.argmax(shared))
         members.append(nxt)
         growth.append(nxt)
     if first_fire is not None:
@@ -284,9 +297,8 @@ def network_bound(g: NetworkGraph) -> NetworkBoundReport:
     """
     if g.n < 2:
         raise ValueError("need at least two parties")
-    degrees = [g.degree(p) for p in range(g.n)]
-    min_degree = min(degrees)
-    seeds = [p for p in range(g.n) if degrees[p] == min_degree]
+    degrees = g.units.sum(axis=1)
+    seeds = np.flatnonzero(degrees == degrees.min()).tolist()
     traces = tuple(_grow_from_seed(g, seed) for seed in seeds)
     firing_sizes = [t.first_firing_size for t in traces if t.first_firing_size]
     fired_size = min(firing_sizes) if firing_sizes else None

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DIM_BUDGET, PureState, guard_total_dim
+from .core import DIM_BUDGET, PureState, _require_finite, guard_total_dim
 from .network import NetworkGraph
 
 
@@ -25,9 +25,10 @@ def checked_coefficients(
     a: Sequence[float], size: int | None = None
 ) -> tuple[np.ndarray, float]:
     """The coefficient vector as floats and its sum of squares, refusing a
-    vector of the wrong ``size`` or one whose sum of squares is not 1
-    within 1e-9."""
+    vector with NaN or Inf entries, of the wrong ``size``, or whose sum of
+    squares is not 1 within 1e-9."""
     a = np.asarray(a, dtype=float)
+    _require_finite(a, "coefficients", "entries", "a")
     if size is not None and a.size != size:
         raise ValueError(f"expected {size} coefficients, got {a.size}")
     ssq = float(np.sum(a**2))
@@ -240,26 +241,13 @@ def cluster_from_epr(
     operations (party, slot_a, slot_b, angle) acting on two of that party's
     qubits, where slots index the party's qubits in the deterministic
     grouping order. Each party's qubits are then merged into one qudit of
-    dimension 2^(edge count).
+    dimension 2^(edge count). This is the two-slot case of
+    graph_from_epr_ghz without hyperedges.
     """
     if not edges:
         raise ValueError("need at least one edge")
-    n = max(max(i, j) for i, j, _ in edges) + 1
-    factors = []
-    for i, j, theta in edges:
-        if i == j:
-            raise ValueError(f"self-loop edge ({i}, {j})")
-        _check_angle(theta)
-        vec = np.array([math.cos(theta), 0, 0, math.sin(theta)], dtype=np.complex128)
-        factors.append(_Factor((int(i), int(j)), (2, 2), vec))
-    nd, party_axes, party_dims = _assemble(n, factors, budget, "cluster_from_epr")
-    nd = np.ascontiguousarray(nd)
-    for party, slot_a, slot_b, angle in phases:
-        axes = party_axes[party]
-        if slot_a == slot_b:
-            raise ValueError("controlled phase needs two distinct slots")
-        _phase_on_axes(nd, (axes[slot_a], axes[slot_b]), angle)
-    return PureState(party_dims, nd.reshape(-1))
+    joint_phases = [(party, (a, b), angle) for party, a, b, angle in phases]
+    return graph_from_epr_ghz(edges, (), joint_phases, budget=budget)
 
 
 def graph_from_epr_ghz(
@@ -276,28 +264,21 @@ def graph_from_epr_ghz(
     |1...1> block of the chosen local qubits. Party dims become
     2^(incident factor count).
     """
-    factors = []
-    parties_seen = [p for i, j, _ in epr_edges for p in (i, j)]
-    parties_seen += [p for members, _ in ghz_hyperedges for p in members]
-    if not parties_seen:
+    # An EPR edge is the two-party hyperedge.
+    hyperedges = [((i, j), theta) for i, j, theta in epr_edges] + list(ghz_hyperedges)
+    if not hyperedges:
         raise ValueError("need at least one edge or hyperedge")
-    n = max(parties_seen) + 1
-    for i, j, theta in epr_edges:
-        if i == j:
-            raise ValueError(f"self-loop edge ({i}, {j})")
-        _check_angle(theta)
-        vec = np.array([math.cos(theta), 0, 0, math.sin(theta)], dtype=np.complex128)
-        factors.append(_Factor((int(i), int(j)), (2, 2), vec))
-    for members, theta in ghz_hyperedges:
+    n = max(p for members, _ in hyperedges for p in members) + 1
+    factors = []
+    for members, theta in hyperedges:
         members = tuple(int(p) for p in members)
         if len(members) < 2:
             raise ValueError(f"hyperedge needs at least two parties, got {members}")
         _check_angle(theta)
-        k = len(members)
-        vec = np.zeros(2**k, dtype=np.complex128)
+        vec = np.zeros(2 ** len(members), dtype=np.complex128)
         vec[0] = math.cos(theta)
         vec[-1] = math.sin(theta)
-        factors.append(_Factor(members, (2,) * k, vec))
+        factors.append(_Factor(members, (2,) * len(members), vec))
     nd, party_axes, party_dims = _assemble(n, factors, budget, "graph_from_epr_ghz")
     nd = np.ascontiguousarray(nd)
     for party, slot_ids, angle in joint_phases:

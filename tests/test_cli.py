@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -413,6 +414,13 @@ class TestWitnessCommands:
         code, _, err = run(capsys, ["witness", "ghz", "--a", "1.0,0.0"])
         assert code == 2
         assert "needs --n" in err
+
+    def test_non_finite_coefficient_is_named_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["witness", "ghz", "--n", "3", "--a", "nan,1"])
+        assert code == 2 and out == ""
+        assert "non-finite entries a[0]=nan" in err
 
     def test_fig4_header_and_quarter_pi_row(self, capsys):
         code, out, _ = run(capsys, ["fig4", "--grid", "1"])

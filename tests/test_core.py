@@ -518,8 +518,20 @@ class TestStateJson:
                 state_from_dict({"dims": [2], "amps": [bad, [0.0, 0.0]]})
 
     def test_reader_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"1 amplitudes, but the first 1 dims already give 2"):
             state_from_dict({"dims": [2, 2], "amps": [[1.0, 0.0]]})
+        with pytest.raises(ValueError, match=r"8 amplitudes, expected prod\(dims\)=4"):
+            PureState((2, 2), np.full(8, 8**-0.5))
+
+    def test_huge_dims_list_is_refused_without_the_full_product(self):
+        # prod([2] * 200000) has 60206 digits: computing it stalls and
+        # printing it fails, so the check stops once the product passes
+        # the amplitude count.
+        dims = [2] * 200000
+        with pytest.raises(ValueError, match=r"state JSON: 2 amplitudes, but the first 2 dims"):
+            state_from_dict({"dims": dims, "amps": [[1.0, 0.0], [0.0, 0.0]]})
+        with pytest.raises(ValueError, match=r"state: 2 amplitudes, but the first 2 dims"):
+            PureState(tuple(dims), np.array([1.0, 0.0]))
 
 
 class TestBudgetGuard:

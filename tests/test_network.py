@@ -1,6 +1,9 @@
 """Graph-level bounds: degree profiles, connectivity, greedy search."""
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,15 @@ def sub(members, n):
     return PartySubset.of(members, n)
 
 
+def test_import_does_not_load_networkx():
+    src = str(Path(network_module.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import kcge; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
 class TestNetworkGraph:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -49,6 +61,12 @@ class TestNetworkGraph:
         assert g.edges == ((0, 1, 3, 2),)
         assert g.degree(0) == 3
         assert g.units_between(1, 0) == 3
+        # Entries of different local dims stay apart; the unit matrix sums them.
+        g = NetworkGraph(3, ((0, 1, 2, 2), (1, 0, 1, 3), (1, 2, 1, 3)))
+        assert g.edges == ((0, 1, 2, 2), (0, 1, 1, 3), (1, 2, 1, 3))
+        assert g.units.tolist() == [[0, 3, 0], [3, 0, 1], [0, 1, 0]]
+        assert not g.units.flags.writeable
+        assert (g.degree(0), g.degree(1), g.units_between(1, 0)) == (3, 4, 3)
 
     def test_edge_units_expand_multiplicity(self):
         g = NetworkGraph(3, ((0, 1, 2), (1, 2, 1)))
@@ -155,22 +173,30 @@ class TestConnectivity:
             assert chain_connectivity(g) == min_pair_connectivity(g.n, g.edge_units())
 
     def test_random_multigraphs_match_oracle(self):
-        # Flows from party 0 alone must give the all-pairs minimum, also on
-        # disconnected graphs, on two parties and on one.
+        # The minimum cut must give the all-pairs minimum, also on
+        # disconnected graphs, on two parties and on one. A pair may carry
+        # entries of different local dims, which the unit matrix must sum.
         rng = np.random.default_rng(56)
-        seen_zero = seen_positive = 0
+        seen_zero = seen_positive = seen_mixed = 0
         for _ in range(120):
-            n = int(rng.integers(1, 8))
+            n = int(rng.integers(1, 13))
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.9)
-            mults = rng.integers(1, 4, size=len(pairs))
-            edges = tuple((i, j, int(m)) for (i, j), k, m in zip(pairs, keep, mults) if k)
-            g = NetworkGraph(n, edges)
+            edges = []
+            for (i, j), k in zip(pairs, keep):
+                if k:
+                    for dim in rng.choice([2, 3], size=int(rng.integers(1, 3)), replace=False):
+                        edges.append((i, j, int(rng.integers(1, 4)), int(dim)))
+            g = NetworkGraph(n, tuple(edges))
             value = chain_connectivity(g)
             assert value == min_pair_connectivity(n, g.edge_units())
+            for i, j in pairs:
+                count = sum(1 for a, b, _d in g.edge_units() if (a, b) == (i, j))
+                assert g.units_between(i, j) == g.units_between(j, i) == count
             seen_zero += value == 0 and n > 1
             seen_positive += value > 0
-        assert seen_zero and seen_positive
+            seen_mixed += len(g.edges) > len({(i, j) for i, j, _m, _d in g.edges})
+        assert seen_zero and seen_positive and seen_mixed
         assert chain_connectivity(NetworkGraph(2, ())) == 0
         assert chain_connectivity(NetworkGraph(1, ())) == 0
 

@@ -73,7 +73,8 @@ class TestGhz:
 class TestCoefficients:
     def test_one_normalization_check_for_every_family(self):
         # The sum of squares must be 1 within 1e-9, and each caller but
-        # radius_ghz fixes the vector's size.
+        # radius_ghz fixes the vector's size. NaN and Inf are refused by
+        # name first, since abs(nan - 1) > 1e-9 is False.
         callers = [
             (lambda a: ghz(3, 3, a), 3),
             (lambda a: w_type(4, a), 5),
@@ -88,6 +89,9 @@ class TestCoefficients:
             if size is not None:
                 with pytest.raises(ValueError, match=f"expected {size} coefficients, got {size + 1}"):
                     build(np.full(size + 1, (size + 1) ** -0.5))
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=rf"non-finite entries a\[1\]={bad}"):
+                    build(np.where(np.arange(unit.size) == 1, bad, unit))
 
 
 class TestWType:

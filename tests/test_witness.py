@@ -17,7 +17,9 @@ from kcge import (
     DensityMatrix,
     PartySubset,
     PureState,
+    apply_local_operator,
     basis_state,
+    build_disentangling_unitary,
     classify,
     exact_radius,
     exact_witness,
@@ -213,6 +215,25 @@ class TestExactRadius:
                 for target in (haar_state(dims, RNG), PureState(dims, near / np.linalg.norm(near))):
                     spec = exact_witness(target, k)
                     assert witness_value(spec, chi.density()) >= -1e-12
+        # A state freed by a disentangling unitary has a party in |0>, so it
+        # is not k-CGE at any level, and no exact witness may certify it:
+        # neither the source state's own nor a Haar target's.
+        sources = (
+            w_type(4, random_coefficients(5)),
+            ghz(4, 3, random_coefficients(3)),
+            haar_state((2, 3, 2, 2), RNG),
+        )
+        for source in sources:
+            n = source.n
+            for members in combinations(range(n), n - 1):
+                cut = PartySubset(members, n)
+                unitary = build_disentangling_unitary(source, cut, members[0])
+                freed = apply_local_operator(source, unitary, cut)
+                assert classify(freed).max_cge_level == 0
+                for k in range(1, n // 2 + 1):
+                    for target in (source, haar_state(source.dims, RNG)):
+                        spec = exact_witness(target, k)
+                        assert witness_value(spec, freed.density()) >= -1e-12
 
     def test_tight_at_eckart_young_truncation(self):
         for dims in MIXED_DIMS:
