@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -63,6 +64,20 @@ def check_budget(state: PureState, budget_dim: int = DIM_BUDGET) -> None:
         raise BudgetExceededError(
             f"C({n}, {n // 2}) subsets exceed budget {SUBSET_BUDGET}"
         )
+
+
+def level_subsets(
+    state: PureState, k: int, budget_dim: int = DIM_BUDGET
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (members, subset_threshold) for every size-k subset in
+    combinations order, after checking 1 <= k <= floor(n/2) and the budget:
+    the one level scan of ``is_k_cge`` and ``witness.exact_radius``."""
+    n = state.n
+    if not 1 <= k <= n // 2:
+        raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
+    check_budget(state, budget_dim)
+    for members in itertools.combinations(range(n), k):
+        yield members, subset_threshold(state.dims, members)
 
 
 @dataclass(frozen=True)
@@ -122,13 +137,8 @@ def is_k_cge(
     """Verdict for one level: True when every size-k subset has rank above
     its threshold; otherwise the lexicographically first failing subset is
     the witness. Valid levels are 1 <= k <= floor(n/2)."""
-    n = state.n
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
-    check_budget(state, budget_dim)
-    for members in itertools.combinations(range(n), k):
-        threshold = subset_threshold(state.dims, members)
-        rank = schmidt_rank(state, PartySubset(members, n), tol)
+    for members, threshold in level_subsets(state, k, budget_dim):
+        rank = schmidt_rank(state, PartySubset(members, state.n), tol)
         if rank <= threshold:
             return LevelVerdict(k, False, members, rank, threshold)
     return LevelVerdict(k, True)

@@ -298,19 +298,13 @@ def partial_trace(state: "PureState | DensityMatrix", keep: PartySubset) -> Dens
     if isinstance(state, PureState):
         mat = bipartite_matrix(state, keep)
         return DensityMatrix(kept_dims, mat @ mat.conj().T, check_psd=False)
-    n = state.n
-    nd = state.matrix.reshape(state.dims + state.dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if 2 * n > len(letters):
-        raise ValueError("too many parties for einsum-based partial trace")
-    row = list(letters[:n])
-    col = list(letters[n : 2 * n])
-    for p in keep.complement:
-        col[p] = row[p]
-    out = "".join(row[p] for p in keep.members) + "".join(col[p] for p in keep.members)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, nd)
+    # Cut-first layout on rows and columns, as in bipartite_matrix.
+    perm = list(keep.members) + list(keep.complement)
     side = math.prod(kept_dims)
-    return DensityMatrix(kept_dims, reduced.reshape(side, side))
+    rest = state.total_dim // side
+    nd = state.matrix.reshape(state.dims + state.dims)
+    nd = nd.transpose(perm + [state.n + p for p in perm]).reshape(side, rest, side, rest)
+    return DensityMatrix(kept_dims, np.einsum("ijkj->ik", nd))
 
 
 def schmidt(

@@ -124,53 +124,48 @@ def two_depth_decompose(
     sum_i sqrt(lambda_i) |phi_i>|e_i> x |0>_freed from the all-zero state
     without touching the freed party; layer2, acting only on the complement
     of the pivot, maps |0>_freed |e_i> back to |psi_i>. Their composition
-    reproduces the state.
+    reproduces the state. As in build_disentangling_unitary, the pivot cut's
+    rank must fit the capacity dim(rest) of the parties other than pivot and
+    freed, or a DisentangleRankError is raised.
     """
     n = state.n
     dims = state.dims
-    if pivot == freed or not (0 <= pivot < n):
-        raise ValueError(f"invalid roles pivot={pivot}, freed={freed}")
+    if pivot == freed or not (0 <= pivot < n and 0 <= freed < n):
+        raise ValueError(f"invalid roles pivot={pivot}, freed={freed} for n={n}")
     if n < 3:
         # Single bipartite unitary: layer1 prepares the state jointly.
         all_parties = PartySubset(tuple(range(n)), n)
         source = np.zeros((state.total_dim, 1), dtype=np.complex128)
         source[0, 0] = 1.0
         layer1 = basis_change_unitary(source, state.amps.reshape(-1, 1))
-        other = 1 if n == 2 else 0
-        layer2_parties = PartySubset((other,), n)
         return TwoDepthDecomposition(
             layer1=layer1,
             layer1_parties=all_parties,
-            layer2=np.eye(dims[other], dtype=np.complex128),
-            layer2_parties=layer2_parties,
+            layer2=np.eye(dims[freed], dtype=np.complex128),
+            layer2_parties=PartySubset((freed,), n),
             pivot=pivot,
             freed=freed,
             degenerate=True,
         )
-    if not 0 <= freed < n:
-        raise ValueError(f"freed party {freed} out of range")
 
-    pivot_cut = PartySubset((pivot,), n)
-    sd = schmidt(state, pivot_cut, tol)
-    weights = np.sqrt(sd.coefficients)
-    count = weights.size
-
+    sd = schmidt(state, PartySubset((pivot,), n), tol)
     rest = tuple(p for p in range(n) if p not in (pivot, freed))
     rest_dims = tuple(dims[p] for p in rest)
-    rest_dim = math.prod(rest_dims) if rest_dims else 1
-    if count > rest_dim:
-        raise DisentangleRankError(count, rest_dim, (pivot,) + rest, freed)
+    rest_dim = math.prod(rest_dims)
+    if sd.rank > rest_dim:
+        raise DisentangleRankError(sd.rank, rest_dim, (pivot,) + rest, freed)
+    count = min(sd.coefficients.size, rest_dim)
+    weights = np.sqrt(sd.coefficients[:count])
 
     # layer1 on pivot + rest: |0...0> -> sum_i w_i |phi_i> x |e_i>.
     layer1_parties = PartySubset.of((pivot,) + rest, n)
-    chi = np.zeros((dims[pivot],) + rest_dims, dtype=np.complex128)
-    for i in range(count):
-        rest_idx = np.unravel_index(i, rest_dims) if rest_dims else ()
-        chi[(slice(None),) + rest_idx] += weights[i] * sd.basis_cut[:, i]
+    # e_i is the i-th row-major basis state of the rest parties.
+    chi = np.zeros((dims[pivot], rest_dim), dtype=np.complex128)
+    chi[:, :count] += sd.basis_cut[:, :count] * weights
     # Reorder axes from (pivot, rest...) to ascending party order.
     build_order = (pivot,) + rest
     perm = np.argsort(build_order)
-    chi = chi.transpose(perm).reshape(-1, 1)
+    chi = chi.reshape((dims[pivot],) + rest_dims).transpose(perm).reshape(-1, 1)
     dim1 = math.prod(dims[p] for p in layer1_parties.members)
     source = np.zeros((dim1, 1), dtype=np.complex128)
     source[0, 0] = 1.0
@@ -179,7 +174,7 @@ def two_depth_decompose(
     # layer2 on the complement of the pivot: |0>_freed |e_i> -> |psi_i>.
     complement = PartySubset.of(tuple(p for p in range(n) if p != pivot), n)
     placeholders = _freed_targets(dims, complement, freed, count)
-    layer2 = basis_change_unitary(placeholders, sd.basis_rest)
+    layer2 = basis_change_unitary(placeholders, sd.basis_rest[:, :count])
 
     return TwoDepthDecomposition(
         layer1=layer1,

@@ -19,6 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOLERANCE, DIM_BUDGET, PartySubset, Tolerance
+from .errors import BudgetExceededError
+
+# Largest n x n edge-unit matrix a graph may ask for: 2^18 entries (2 MiB
+# of int64), so n <= 512. The greedy search makes O(n^2) array operations
+# of length n on it, and Stoer-Wagner O(n^2) more.
+UNITS_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,11 @@ class NetworkGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+        if self.n * self.n > UNITS_BUDGET:
+            raise BudgetExceededError(
+                f"network of n={self.n} parties: its {self.n}x{self.n} edge-unit "
+                f"matrix ({self.n * self.n} entries) exceeds budget {UNITS_BUDGET}"
+            )
         seen: dict[tuple[int, int, int], int] = {}
         for edge in self.edges:
             if len(edge) == 3:

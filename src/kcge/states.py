@@ -299,7 +299,13 @@ def network_joint_state(
 
     ``edge_states`` aligns with ``graph.edge_units()``; omitted entries
     default to the maximally entangled pair of the unit's local dimension.
+    The budget is checked on ``graph.edges`` before any unit is expanded.
     """
+    guard_total_dim(
+        (d for *_ends, mult, d in graph.edges for _ in range(2 * mult)),
+        budget,
+        "network_joint_state",
+    )
     units = graph.edge_units()
     if not units:
         raise ValueError("network has no edges")

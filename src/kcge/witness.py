@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .classify import subset_threshold
+from .classify import level_subsets
 from .core import DensityMatrix, PartySubset, PureState, schmidt
 from .states import checked_coefficients
 
@@ -181,16 +181,14 @@ def exact_radius(target: PureState, k: int) -> float:
     Such a state has Schmidt rank at most t = subset_threshold(dims, I)
     across some size-k subset I, and by Eckart-Young-Mirsky the best overlap
     at rank t is the sum of the top t Schmidt coefficients across I; the
-    radius is the maximum of that sum over every size-k subset.
+    radius is the maximum of that sum over every size-k subset. The subsets
+    come from ``classify.level_subsets``, so a k outside [1, floor(n/2)]
+    raises ValueError and a target over the classifier's budget raises
+    BudgetExceededError before any SVD.
     """
-    n = target.n
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
     best = max(
-        schmidt(target, PartySubset(members, n)).coefficients[
-            : subset_threshold(target.dims, members)
-        ].sum()
-        for members in combinations(range(n), k)
+        schmidt(target, PartySubset(members, target.n)).coefficients[:threshold].sum()
+        for members, threshold in level_subsets(target, k)
     )
     # A target within NORM_ATOL of unit norm can sum a hair past 1.
     return float(min(best, 1.0))

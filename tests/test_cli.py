@@ -18,12 +18,15 @@ from kcge import (
     family_from_dict,
     ghz,
     haar_state,
+    haar_unitary,
     partial_trace,
+    schmidt,
     state_from_dict,
     state_to_dict,
     two_depth_decompose,
 )
 from kcge.cli import _emit_json, main
+from kcge.network import NetworkGraph
 
 
 def write_json(path, obj):
@@ -266,6 +269,31 @@ class TestDisentangleDecompose:
         assert result["layer2"]["parties"] == [1, 2]
 
 
+    def test_decompose_rank_two_state_with_round_off_tail(self, tmp_path, capsys):
+        # Rank 2 across party 0 fits the capacity dim(rest) = 2, though the
+        # SVD returns four positive coefficients.
+        rng = np.random.default_rng(5)
+        u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+        mat = u[:, :2] @ np.diag(np.sqrt([0.64, 0.36])) @ v[:, :2].T
+        state = PureState((4, 2, 2), mat.reshape(-1))
+        path = write_json(tmp_path / "state.json", state_to_dict(state))
+        loaded = state_from_dict(json.loads(Path(path).read_text()))
+        assert schmidt(loaded, PartySubset((0,), 3)).coefficients.size == 4
+        code, out, _ = run(capsys, ["decompose", "--state", path])
+        assert code == 0
+        assert json.loads(out)["reconstruction_error"] <= 1e-12
+
+    def test_decompose_refuses_a_freed_party_out_of_range(self, tmp_path, capsys):
+        ghz2 = {"family": "ghz", "n": 2, "d": 2, "a": [2**-0.5, 2**-0.5]}
+        _, out, _ = run(capsys, ["generate", "--family", write_json(tmp_path / "f.json", ghz2)])
+        path = write_json(tmp_path / "state.json", json.loads(out))
+        for freed in ("7", "-1", "0"):
+            code, out, err = run(capsys, ["decompose", "--state", path, "--freed", freed])
+            assert code == 2
+            assert out == ""
+            assert "invalid roles" in err
+
+
 class TestArrayJson:
     """States and matrices are written from numpy, and the text must equal
     the oracle's byte for byte."""
@@ -475,6 +503,25 @@ class TestNetworkCommands:
         code, out, _ = run(capsys, ["network", "--graph", graph])
         assert code == 0
         assert json.loads(out)["cge_upper_bound"] == 2
+
+
+    def test_refusals_come_before_the_unit_matrix(self, tmp_path, capsys, monkeypatch):
+        def untouched(*_args):
+            raise AssertionError("refusal must come before the edge units")
+
+        monkeypatch.setattr(NetworkGraph, "units", property(untouched))
+        monkeypatch.setattr(NetworkGraph, "edge_units", untouched)
+        wide = write_json(tmp_path / "wide.json", {"n": 10**6, "edges": [[0, 1, 1]]})
+        for command in ("network", "cross-check"):
+            code, out, err = run(capsys, [command, "--graph", wide])
+            assert code == 3
+            assert out == ""
+            assert "n=1000000 parties: its 1000000x1000000 edge-unit matrix" in err
+        heavy = write_json(tmp_path / "heavy.json", {"n": 2, "edges": [[0, 1, 200000]]})
+        code, out, err = run(capsys, ["cross-check", "--graph", heavy])
+        assert code == 3
+        assert out == ""
+        assert "network_joint_state: total dimension exceeds budget" in err
 
 
 class TestExitCodes:

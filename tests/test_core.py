@@ -198,6 +198,26 @@ class TestPartialTrace:
         keep = sub([0, 2], 3)
         assert partial_trace(st.density(), keep).allclose(partial_trace(st, keep))
 
+    def test_mixed_state_matches_loop_oracle(self):
+        # A mixture of Haar states is mixed, so this runs the density-matrix
+        # path; the oracle traces each component and mixes the results.
+        rng = np.random.default_rng(2718)
+        for dims in [(2, 3, 2), (3, 2, 2, 2), (2, 2, 3, 2, 2)]:
+            n = len(dims)
+            states = [haar_state(dims, rng) for _ in range(3)]
+            weights = rng.dirichlet(np.ones(3))
+            mat = sum(w * np.outer(st.amps, st.amps.conj()) for w, st in zip(weights, states))
+            rho = DensityMatrix(dims, mat)
+            for size in range(1, n):
+                for keep in itertools.combinations(range(n), size):
+                    expected = sum(
+                        w * loop_partial_trace(st.amps, dims, list(keep))
+                        for w, st in zip(weights, states)
+                    )
+                    got = partial_trace(rho, sub(keep, n))
+                    assert got.dims == tuple(dims[p] for p in keep)
+                    assert np.allclose(got.matrix, expected, atol=1e-12)
+
     def test_rejects_empty_and_full_subsets(self):
         st = basis_state((2, 2))
         with pytest.raises(ValueError):

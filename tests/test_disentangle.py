@@ -37,6 +37,14 @@ def sub(members, n):
     return PartySubset.of(members, n)
 
 
+def rank_two_422(rng):
+    """(4, 2, 2) state of Schmidt rank 2 across party 0, weights 0.64 and
+    0.36, built from Haar unitaries."""
+    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+    mat = u[:, :2] @ np.diag(np.sqrt([0.64, 0.36])) @ v[:, :2].T
+    return PureState((4, 2, 2), mat.reshape(-1))
+
+
 def ghz_pair(n):
     return ghz(n, 2, [2**-0.5, 2**-0.5])
 
@@ -189,6 +197,26 @@ class TestTwoDepth:
         assert dec.layer1_parties.members == (1, 2)
         assert dec.layer2_parties.members == (0, 1)
         assert dec.prepare(st.dims).allclose(st, atol=1e-9)
+
+    def test_rank_two_state_with_round_off_tail_decomposes(self):
+        # Rank 2 across the pivot, so it fits the capacity dim(rest) = 2,
+        # but the SVD also returns two round-off coefficients.
+        st = rank_two_422(np.random.default_rng(5))
+        sd = schmidt(st, sub([0], 3))
+        assert sd.rank == 2 and sd.coefficients.size == 4
+        dec = two_depth_decompose(st)
+        assert float(np.max(np.abs(dec.prepare(st.dims).amps - st.amps))) <= 1e-12
+
+    def test_full_rank_pivot_cut_is_refused(self):
+        with pytest.raises(DisentangleRankError) as err:
+            two_depth_decompose(haar_state((4, 2, 2), RNG))
+        assert err.value.rank == 4
+        assert err.value.capacity == 2
+
+    def test_freed_party_out_of_range(self):
+        for dims, freed in [((2, 2), 7), ((2, 2), -1), ((2, 2, 2), 3)]:
+            with pytest.raises(ValueError, match="invalid roles"):
+                two_depth_decompose(haar_state(dims, RNG), freed=freed)
 
     def test_universal_over_random_states(self):
         for _ in range(15):

@@ -68,6 +68,19 @@ class TestNetworkGraph:
         assert not g.units.flags.writeable
         assert (g.degree(0), g.degree(1), g.units_between(1, 0)) == (3, 4, 3)
 
+    def test_party_count_is_refused_before_the_unit_matrix(self, monkeypatch):
+        def untouched(*_args):
+            raise AssertionError("refusal must come before the unit matrix")
+
+        monkeypatch.setattr(NetworkGraph, "units", property(untouched))
+        monkeypatch.setattr(NetworkGraph, "edge_units", untouched)
+        side = int(network_module.UNITS_BUDGET**0.5)
+        assert side * side == network_module.UNITS_BUDGET
+        for n in (side + 1, 10**9):
+            with pytest.raises(BudgetExceededError, match=f"n={n} parties: its {n}x{n}"):
+                NetworkGraph(n, ((0, 1, 1),))
+        NetworkGraph(side, ((0, side - 1, 1),))
+
     def test_edge_units_expand_multiplicity(self):
         g = NetworkGraph(3, ((0, 1, 2), (1, 2, 1)))
         assert g.edge_units() == [(0, 1, 2), (0, 1, 2), (1, 2, 2)]
@@ -303,6 +316,19 @@ class TestCrossCheck:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             cross_check(complete_network(6))
+
+    def test_multiplicity_is_refused_before_units_are_expanded(self, monkeypatch):
+        g = NetworkGraph(2, ((0, 1, 200000),))
+
+        def untouched(*_args):
+            raise AssertionError("refusal must come before the edge units")
+
+        monkeypatch.setattr(NetworkGraph, "edge_units", untouched)
+        monkeypatch.setattr(NetworkGraph, "units", property(untouched))
+        with pytest.raises(BudgetExceededError, match="first 17 dims already give 131072"):
+            network_joint_state(g)
+        with pytest.raises(BudgetExceededError, match="network_joint_state"):
+            cross_check(g)
 
     def test_bound_below_the_classifier_is_recorded_not_raised(self, monkeypatch):
         g = complete_network(4)

@@ -7,6 +7,7 @@ form is below the exact radius; that disagreement is a recorded check.
 """
 
 import dataclasses
+import importlib
 import math
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from kcge import (
     radius_ghz,
     radius_w4,
     schmidt,
+    schmidt_rank,
     subset_threshold,
     w4_visibility_curves,
     w_type,
@@ -38,9 +40,13 @@ from kcge import (
     werner_zero_crossing,
     witness_value,
 )
+from kcge.errors import BudgetExceededError
 from kcge.witness import WitnessSpec
 
 from oracles import top_eigen_radius
+
+classify_module = importlib.import_module("kcge.classify")
+witness_module = importlib.import_module("kcge.witness")
 
 RNG = np.random.default_rng(314159)
 
@@ -293,3 +299,37 @@ class TestExactRadius:
             exact_radius(ghz(3, 2, BALANCED), 2)
         with pytest.raises(ValueError):
             exact_radius(ghz(3, 2, BALANCED), 0)
+        with pytest.raises(ValueError, match="out of range"):
+            exact_radius(haar_state((2, 3, 2, 2), RNG), 3)
+
+    def test_budget_refuses_before_any_svd(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(witness_module, "schmidt", lambda *a, **k: calls.append(a))
+        with pytest.raises(BudgetExceededError, match="budget"):
+            exact_radius(basis_state((2,) * 17), 1)
+        assert not calls
+
+    def test_scans_the_subsets_of_is_k_cge_in_its_order(self, monkeypatch):
+        # A Haar state passes every level, so is_k_cge visits every subset.
+        seen = {"witness": [], "classify": []}
+
+        def recording(key, fn):
+            def wrapper(state, cut, *args, **kwargs):
+                seen[key].append(cut.members)
+                return fn(state, cut, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(witness_module, "schmidt", recording("witness", schmidt))
+        monkeypatch.setattr(
+            classify_module, "schmidt_rank", recording("classify", schmidt_rank)
+        )
+        for dims in [(2, 3, 2, 2, 3), (3,) * 6]:
+            st = haar_state(dims, RNG)
+            for k in range(1, len(dims) // 2 + 1):
+                seen["witness"].clear()
+                seen["classify"].clear()
+                exact_radius(st, k)
+                assert is_k_cge(st, k).is_cge
+                assert seen["witness"] == seen["classify"]
+                assert seen["witness"] == list(combinations(range(len(dims)), k))
