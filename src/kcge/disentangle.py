@@ -5,13 +5,17 @@ biseparable / k-connection channels to density matrices.
 The freeing unitary exists exactly when the Schmidt rank across the cut
 fits into the cut with one party factored out: rank <= dim(cut) / d_free.
 It maps each cut-side Schmidt vector to |0>_free x e_i and is completed to
-a full basis change by a Householder QR of each column set.
+a full basis change by a Householder QR of each column set. The two-layer
+preparation circuit is that unitary, on the complement of a pivot party,
+run backwards. A k-connection channel is a biseparable channel whose
+complement factor is a Kronecker product of single-party factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +26,7 @@ from .core import (
     PartySubset,
     PureState,
     Tolerance,
+    _apply_on_axes,
     apply_local_operator,
     basis_change_unitary,
     basis_state,
@@ -84,11 +89,11 @@ def build_disentangling_unitary(
 class TwoDepthDecomposition:
     """Two unitary layers that prepare a state from |0...0>.
 
-    layer1 acts on the pivot party together with the rest (identity on the
-    freed party) and creates the pivot-side Schmidt weights; layer2 acts on
-    everything but the pivot and rotates the placeholder basis into the
-    complement-side Schmidt vectors. For two parties the construction
-    degenerates to a single joint unitary in layer1 with an identity layer2.
+    layer2 is the inverse of the unitary that frees ``freed`` on the
+    complement of the pivot; layer1 acts on every party but the freed one
+    and prepares what that freeing unitary leaves there. For two parties
+    the construction degenerates to a single joint unitary in layer1 with
+    an identity layer2.
     """
 
     layer1: np.ndarray
@@ -111,6 +116,13 @@ class TwoDepthDecomposition:
         return apply_local_operator(st, self.layer2, self.layer2_parties)
 
 
+def _preparing_unitary(vec: np.ndarray) -> np.ndarray:
+    """Unitary that maps |0...0> to the unit vector ``vec``."""
+    source = np.zeros((vec.size, 1), dtype=np.complex128)
+    source[0, 0] = 1.0
+    return basis_change_unitary(source, vec.reshape(-1, 1))
+
+
 def two_depth_decompose(
     state: PureState,
     tol: Tolerance = DEFAULT_TOLERANCE,
@@ -119,14 +131,13 @@ def two_depth_decompose(
 ) -> TwoDepthDecomposition:
     """Decompose any pure state into two biseparable unitary layers.
 
-    Across the pivot | rest cut the state reads
-    sum_i sqrt(lambda_i) |phi_i>|psi_i>. layer1 prepares
-    sum_i sqrt(lambda_i) |phi_i>|e_i> x |0>_freed from the all-zero state
-    without touching the freed party; layer2, acting only on the complement
-    of the pivot, maps |0>_freed |e_i> back to |psi_i>. Their composition
-    reproduces the state. As in build_disentangling_unitary, the pivot cut's
-    rank must fit the capacity dim(rest) of the parties other than pivot and
-    freed, or a DisentangleRankError is raised.
+    The freeing unitary U of build_disentangling_unitary, on the complement
+    of the pivot, maps the state to |0>_freed x |chi> with chi on every
+    party but the freed one. layer1 prepares chi from the all-zero state and
+    layer2 = U^dag restores the state. U exists, and so does the
+    decomposition, exactly when the pivot cut's rank fits the capacity
+    dim(rest) of the parties other than pivot and freed; otherwise a
+    DisentangleRankError is raised.
     """
     n = state.n
     dims = state.dims
@@ -134,13 +145,9 @@ def two_depth_decompose(
         raise ValueError(f"invalid roles pivot={pivot}, freed={freed} for n={n}")
     if n < 3:
         # Single bipartite unitary: layer1 prepares the state jointly.
-        all_parties = PartySubset(tuple(range(n)), n)
-        source = np.zeros((state.total_dim, 1), dtype=np.complex128)
-        source[0, 0] = 1.0
-        layer1 = basis_change_unitary(source, state.amps.reshape(-1, 1))
         return TwoDepthDecomposition(
-            layer1=layer1,
-            layer1_parties=all_parties,
+            layer1=_preparing_unitary(state.amps),
+            layer1_parties=PartySubset(tuple(range(n)), n),
             layer2=np.eye(dims[freed], dtype=np.complex128),
             layer2_parties=PartySubset((freed,), n),
             pivot=pivot,
@@ -148,52 +155,25 @@ def two_depth_decompose(
             degenerate=True,
         )
 
-    sd = schmidt(state, PartySubset((pivot,), n), tol)
-    rest = tuple(p for p in range(n) if p not in (pivot, freed))
-    rest_dims = tuple(dims[p] for p in rest)
-    rest_dim = math.prod(rest_dims)
-    if sd.rank > rest_dim:
-        raise DisentangleRankError(sd.rank, rest_dim, (pivot,) + rest, freed)
-    count = min(sd.coefficients.size, rest_dim)
-    weights = np.sqrt(sd.coefficients[:count])
-
-    # layer1 on pivot + rest: |0...0> -> sum_i w_i |phi_i> x |e_i>.
-    layer1_parties = PartySubset.of((pivot,) + rest, n)
-    # e_i is the i-th row-major basis state of the rest parties.
-    chi = np.zeros((dims[pivot], rest_dim), dtype=np.complex128)
-    chi[:, :count] += sd.basis_cut[:, :count] * weights
-    # Reorder axes from (pivot, rest...) to ascending party order.
-    build_order = (pivot,) + rest
-    perm = np.argsort(build_order)
-    chi = chi.reshape((dims[pivot],) + rest_dims).transpose(perm).reshape(-1, 1)
-    dim1 = math.prod(dims[p] for p in layer1_parties.members)
-    source = np.zeros((dim1, 1), dtype=np.complex128)
-    source[0, 0] = 1.0
-    layer1 = basis_change_unitary(source, chi)
-
-    # layer2 on the complement of the pivot: |0>_freed |e_i> -> |psi_i>.
-    complement = PartySubset.of(tuple(p for p in range(n) if p != pivot), n)
-    placeholders = _freed_targets(dims, complement, freed, count)
-    layer2 = basis_change_unitary(placeholders, sd.basis_rest[:, :count])
-
+    complement = PartySubset(tuple(p for p in range(n) if p != pivot), n)
+    freeing = build_disentangling_unitary(state, complement, freed, tol)
+    freed_state = _apply_on_axes(state, freeing, complement.members).reshape(dims)
+    chi = freed_state.take(0, axis=freed)
+    # The freeing unitary sends the at most dims[pivot] Schmidt vectors to
+    # |0>_freed x e_i, e_i row-major over the other parties, so chi vanishes
+    # at every e_i with i >= dims[pivot]. Clearing the round-off there keeps
+    # layer1 as sparse as chi.
+    rest_dims = tuple(dims[p] for p in range(n) if p not in (pivot, freed))
+    rest_index = np.arange(math.prod(rest_dims)).reshape(rest_dims)
+    chi = np.where(np.expand_dims(rest_index < dims[pivot], pivot - (pivot > freed)), chi, 0)
     return TwoDepthDecomposition(
-        layer1=layer1,
-        layer1_parties=layer1_parties,
-        layer2=layer2,
+        layer1=_preparing_unitary(chi),
+        layer1_parties=PartySubset(tuple(p for p in range(n) if p != freed), n),
+        layer2=freeing.conj().T,
         layer2_parties=complement,
         pivot=pivot,
         freed=freed,
     )
-
-
-def _completeness_defect(terms: Sequence[np.ndarray]) -> float:
-    """Max-norm distance of sum_i A_i^dag A_i from the identity, where each
-    entry of ``terms`` is already the full Kraus factor product."""
-    acc = None
-    for a in terms:
-        g = a.conj().T @ a
-        acc = g if acc is None else acc + g
-    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +182,6 @@ class BiseparableChannel:
 
     cut: PartySubset
     kraus_pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
-    atol: float = CHANNEL_ATOL
 
     def __post_init__(self):
         pairs = tuple(
@@ -219,10 +198,11 @@ class BiseparableChannel:
             if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape != s_shape:
                 raise ValueError("complement-side Kraus operators must be square and uniform")
         object.__setattr__(self, "kraus_pairs", pairs)
-        defect = _completeness_defect([np.kron(k, s) for k, s in pairs])
-        if defect > self.atol:
+        gram = sum(a.conj().T @ a for a in (np.kron(k, s) for k, s in pairs))
+        defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+        if defect > CHANNEL_ATOL:
             raise ChannelCompletenessError(
-                f"Kraus terms sum to identity only within {defect:.3e} > {self.atol}"
+                f"Kraus terms sum to identity only within {defect:.3e} > {CHANNEL_ATOL}"
             )
 
     def full_kraus(self, dims: Sequence[int]) -> list[np.ndarray]:
@@ -236,52 +216,39 @@ class BiseparableChannel:
 class KConnectionChannel:
     """CPTP map that is joint only inside the cut: each Kraus term is
     K_i x (tensor of single-party factors over the complement, in ascending
-    party order)."""
+    party order).
+
+    It is the biseparable channel ``biseparable`` whose complement factor is
+    the Kronecker product of the single-party factors. Every term must carry
+    one square factor per complement party, of the first term's shapes.
+    """
 
     cut: PartySubset
     kraus_terms: tuple[tuple[np.ndarray, tuple[np.ndarray, ...]], ...]
-    atol: float = CHANNEL_ATOL
+    biseparable: BiseparableChannel = field(init=False, repr=False)
 
     def __post_init__(self):
-        terms = []
+        terms = tuple(
+            (np.asarray(k, dtype=np.complex128),
+             tuple(np.asarray(s, dtype=np.complex128) for s in locals_))
+            for k, locals_ in self.kraus_terms
+        )
+        if not terms:
+            raise ValueError("channel needs at least one Kraus term")
         n_out = len(self.cut.complement)
-        for k, locals_ in self.kraus_terms:
-            k = np.asarray(k, dtype=np.complex128)
-            locals_ = tuple(np.asarray(s, dtype=np.complex128) for s in locals_)
+        shapes = [s.shape for s in terms[0][1]]
+        for _k, locals_ in terms:
             if len(locals_) != n_out:
                 raise ValueError(
                     f"expected {n_out} single-party factors, got {len(locals_)}"
                 )
-            terms.append((k, locals_))
-        if not terms:
-            raise ValueError("channel needs at least one Kraus term")
-        object.__setattr__(self, "kraus_terms", tuple(terms))
-        defect = _completeness_defect([self._joined(k, ls) for k, ls in terms])
-        if defect > self.atol:
-            raise ChannelCompletenessError(
-                f"Kraus terms sum to identity only within {defect:.3e} > {self.atol}"
-            )
-
-    @staticmethod
-    def _joined(k: np.ndarray, locals_: tuple[np.ndarray, ...]) -> np.ndarray:
-        out = k
-        for s in locals_:
-            out = np.kron(out, s)
-        return out
-
-    def full_kraus(self, dims: Sequence[int]) -> list[np.ndarray]:
-        order = list(self.cut.members) + list(self.cut.complement)
-        return [
-            expand_to_full(self._joined(k, ls), order, dims)
-            for k, ls in self.kraus_terms
-        ]
-
-
-def _apply_kraus(rho: DensityMatrix, full_ops: list[np.ndarray]) -> DensityMatrix:
-    out = np.zeros_like(rho.matrix)
-    for a in full_ops:
-        out = out + a @ rho.matrix @ a.conj().T
-    return DensityMatrix(rho.dims, out)
+            for s, shape in zip(locals_, shapes):
+                if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape != shape:
+                    raise ValueError("single-party Kraus factors must be square and uniform")
+        object.__setattr__(self, "kraus_terms", terms)
+        product = np.eye(1, dtype=np.complex128)
+        pairs = tuple((k, reduce(np.kron, locals_, product)) for k, locals_ in terms)
+        object.__setattr__(self, "biseparable", BiseparableChannel(self.cut, pairs))
 
 
 def apply_biseparable_channel(rho: DensityMatrix, ch: BiseparableChannel) -> DensityMatrix:
@@ -297,7 +264,11 @@ def apply_biseparable_channel(rho: DensityMatrix, ch: BiseparableChannel) -> Den
             f"channel sides ({k0.shape[0]}, {s0.shape[0]}) do not match the state's "
             f"cut dims ({cut_dim}, {rest_dim})"
         )
-    return _apply_kraus(rho, ch.full_kraus(rho.dims))
+    full_ops = ch.full_kraus(rho.dims)
+    out = np.zeros_like(rho.matrix)
+    for a in full_ops:
+        out = out + a @ rho.matrix @ a.conj().T
+    return DensityMatrix(rho.dims, out)
 
 
 def apply_k_connection_channel(rho: DensityMatrix, ch: KConnectionChannel) -> DensityMatrix:
@@ -305,18 +276,12 @@ def apply_k_connection_channel(rho: DensityMatrix, ch: KConnectionChannel) -> De
     party by party."""
     if ch.cut.n != rho.n:
         raise ValueError(f"channel cut declared for n={ch.cut.n}, state has n={rho.n}")
-    cut_dim = math.prod(rho.dims[p] for p in ch.cut.members)
-    k0, locals0 = ch.kraus_terms[0]
-    if k0.shape[0] != cut_dim:
-        raise ValueError(
-            f"cut-side Kraus dimension {k0.shape[0]} does not match cut dim {cut_dim}"
-        )
-    for s, p in zip(locals0, ch.cut.complement):
+    for s, p in zip(ch.kraus_terms[0][1], ch.cut.complement):
         if s.shape[0] != rho.dims[p]:
             raise ValueError(
                 f"factor for party {p} has dimension {s.shape[0]}, expected {rho.dims[p]}"
             )
-    return _apply_kraus(rho, ch.full_kraus(rho.dims))
+    return apply_biseparable_channel(rho, ch.biseparable)
 
 
 def identity_biseparable_channel(dims: Sequence[int], cut: PartySubset) -> BiseparableChannel:

@@ -1,10 +1,13 @@
 """Disentangling unitaries, two-layer preparation, channel application."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from kcge import (
     BiseparableChannel,
+    DensityMatrix,
     KConnectionChannel,
     PartySubset,
     PureState,
@@ -13,6 +16,7 @@ from kcge import (
     apply_local_operator,
     basis_state,
     build_disentangling_unitary,
+    dicke,
     expand_to_full,
     ghz,
     haar_state,
@@ -23,12 +27,13 @@ from kcge import (
     schmidt_rank,
     swap_matrix,
     two_depth_decompose,
+    w_type,
 )
 from kcge.disentangle import identity_biseparable_channel
 from kcge.errors import ChannelCompletenessError, DisentangleRankError
-from kcge.network import chain_network
+from kcge.network import chain_network, star_network
 
-from oracles import kraus_apply, loop_partial_trace
+from oracles import kraus_apply, loop_partial_trace, permutation_embed, svd_rank
 
 RNG = np.random.default_rng(90125)
 
@@ -218,6 +223,45 @@ class TestTwoDepth:
             with pytest.raises(ValueError, match="invalid roles"):
                 two_depth_decompose(haar_state(dims, RNG), freed=freed)
 
+    def test_every_role_pair_against_the_svd_rank_oracle(self):
+        # The decomposition is refused exactly when the pivot's Schmidt rank,
+        # counted by the full SVD oracle, exceeds the dimension of the
+        # parties other than pivot and freed.
+        rng = np.random.default_rng(4417)
+        corpus = [haar_state(dims, rng) for dims in [(2, 2, 2), (4, 2, 2), (2, 3, 2, 2), (3, 3, 3)]]
+        corpus += [
+            rank_two_422(rng),
+            ghz_pair(4),
+            dicke(5, 2, 2),
+            w_type(4, [0.5, 0.5, 0.5, 0.5, 0.0]),
+            network_joint_state(chain_network(4)),
+            network_joint_state(star_network(4)),
+        ]
+        refused = 0
+        for st in corpus:
+            n = st.n
+            for pivot, freed in itertools.permutations(range(n), 2):
+                rank = svd_rank(st.amps, st.dims, [pivot])
+                rest = [p for p in range(n) if p not in (pivot, freed)]
+                capacity = int(np.prod([st.dims[p] for p in rest]))
+                if rank > capacity:
+                    refused += 1
+                    with pytest.raises(DisentangleRankError) as err:
+                        two_depth_decompose(st, pivot=pivot, freed=freed)
+                    assert (err.value.rank, err.value.capacity) == (rank, capacity)
+                    continue
+                dec = two_depth_decompose(st, pivot=pivot, freed=freed)
+                assert dec.layer1_parties.members == tuple(p for p in range(n) if p != freed)
+                assert dec.layer2_parties.members == tuple(p for p in range(n) if p != pivot)
+                error = float(np.max(np.abs(dec.prepare(st.dims).amps - st.amps)))
+                assert error <= 1e-12
+                # layer1 maps |0...0> to a vector with at most dims[pivot]
+                # Schmidt terms, each on one basis state of the rest, and
+                # every other amplitude is exactly zero.
+                support = st.dims[pivot] * min(st.dims[pivot], capacity)
+                assert np.count_nonzero(dec.layer1[:, 0]) <= support
+        assert refused > 0
+
     def test_universal_over_random_states(self):
         for _ in range(15):
             n = int(RNG.integers(3, 6))
@@ -340,3 +384,53 @@ class TestChannels:
             out = apply_biseparable_channel(rho, ch)
             assert abs(np.trace(out.matrix) - 1.0) < 1e-12
             assert out.eigenvalues()[0] > -1e-12
+
+    def test_k_connection_channel_matches_permuted_kraus_oracle(self):
+        # Kraus terms A_a x B_b x C_c from complete families of isometry
+        # blocks, one family per side, checked against the direct Kraus sum
+        # of the products embedded by an explicit basis permutation.
+        rng = np.random.default_rng(6203)
+
+        def kraus_family(d, count):
+            u = haar_unitary(d * count, rng)
+            return [u[j * d : (j + 1) * d, :d] for j in range(count)]
+
+        for dims, members in [((2, 3, 2), (1,)), ((2, 2, 3, 2), (0, 2)), ((3, 2, 2, 2), (1, 2, 3))]:
+            n = len(dims)
+            cut = sub(members, n)
+            cut_family = kraus_family(int(np.prod([dims[p] for p in members])), 2)
+            local_families = [kraus_family(dims[p], 2) for p in cut.complement]
+            terms = []
+            for k in cut_family:
+                for locals_ in itertools.product(*local_families):
+                    terms.append((k, locals_))
+            g = rng.standard_normal((np.prod(dims), 3)) + 1j * rng.standard_normal((np.prod(dims), 3))
+            rho = DensityMatrix(dims, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            out = apply_k_connection_channel(rho, KConnectionChannel(cut, tuple(terms)))
+            order = list(cut.members) + list(cut.complement)
+            full_ops = []
+            for k, locals_ in terms:
+                op = k
+                for s in locals_:
+                    op = np.kron(op, s)
+                full_ops.append(permutation_embed(op, order, dims))
+            assert np.max(np.abs(out.matrix - kraus_apply(rho.matrix, full_ops))) <= 1e-12
+
+    def test_k_connection_terms_must_match_the_first_terms_shapes(self):
+        # dims (2, 2, 4), cut {0}: a second term with swapped local factors
+        # has the same Kronecker product shape but would mix parties 1 and 2;
+        # a second term with a 4x4 cut-side operator does not fit the cut.
+        cut = sub([0], 3)
+        half = np.eye(2) / np.sqrt(2)
+        first = (half, (np.eye(2), np.eye(4)))
+        for second in [(half, (np.eye(4), np.eye(2))), (np.eye(4) / np.sqrt(2), (np.eye(2), np.eye(4)))]:
+            with pytest.raises(ValueError):
+                KConnectionChannel(cut, (first, second))
+        with pytest.raises(ValueError):
+            KConnectionChannel(cut, ((np.eye(2), (np.eye(2), np.ones((4, 2)))),))
+
+    def test_k_connection_channel_without_complement_applies(self):
+        rho = haar_state((2, 3), np.random.default_rng(31)).density()
+        u = haar_unitary(6, np.random.default_rng(32))
+        out = apply_k_connection_channel(rho, KConnectionChannel(sub([0, 1], 2), ((u, ()),)))
+        assert np.allclose(out.matrix, u @ rho.matrix @ u.conj().T, atol=1e-12)
