@@ -48,6 +48,7 @@ from .core import (
     schmidt_rank,
 )
 from .errors import BudgetExceededError
+from .states import dicke, dicke_cge_formula
 
 SUBSET_BUDGET = 10**6
 
@@ -57,25 +58,31 @@ def subset_threshold(dims: tuple[int, ...], members: tuple[int, ...]) -> int:
     return math.prod(dims[p] for p in members) // min(dims[p] for p in members)
 
 
-def check_budget(state: PureState, budget_dim: int = DIM_BUDGET) -> None:
-    guard_total_dim(state.dims, budget_dim, "classify")
+def check_budget(
+    state: PureState, budget_dim: int = DIM_BUDGET, caller: str | None = None
+) -> None:
+    """Refuse a scan over the dimension or the subset budget. A ``caller``
+    label prefixes both messages; without one they read as classify's."""
+    guard_total_dim(state.dims, budget_dim, caller or "classify")
     n = state.n
     if math.comb(n, n // 2) > SUBSET_BUDGET:
+        prefix = f"{caller}: " if caller else ""
         raise BudgetExceededError(
-            f"C({n}, {n // 2}) subsets exceed budget {SUBSET_BUDGET}"
+            f"{prefix}C({n}, {n // 2}) subsets exceed budget {SUBSET_BUDGET}"
         )
 
 
 def level_subsets(
-    state: PureState, k: int, budget_dim: int = DIM_BUDGET
+    state: PureState, k: int, budget_dim: int = DIM_BUDGET, caller: str | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (members, subset_threshold) for every size-k subset in
     combinations order, after checking 1 <= k <= floor(n/2) and the budget:
-    the one level scan of ``is_k_cge`` and ``witness.exact_radius``."""
+    the one level scan of ``is_k_cge`` and ``witness.exact_radius``. A
+    budget refusal names ``caller`` (see ``check_budget``)."""
     n = state.n
     if not 1 <= k <= n // 2:
         raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
-    check_budget(state, budget_dim)
+    check_budget(state, budget_dim, caller)
     for members in itertools.combinations(range(n), k):
         yield members, subset_threshold(state.dims, members)
 
@@ -123,7 +130,6 @@ class ClassificationReport:
             "thresholds_used": [list(t) for t in self.thresholds_used],
             "tolerance": {
                 "rank_cutoff": self.tolerance.rank_cutoff,
-                "reconstruction_atol": self.tolerance.reconstruction_atol,
             },
         }
 
@@ -253,8 +259,6 @@ def compare_dicke_formula(
     state exceeds level 2. The comparison record reports the disagreement
     instead of hiding it.
     """
-    from .states import dicke, dicke_cge_formula
-
     state = dicke(n, d, s)
     level = classify(state, tol).max_cge_level
     formula = dicke_cge_formula(d, s)

@@ -121,7 +121,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(rank_cutoff=args.tol, reconstruction_atol=args.tol)
+    return Tolerance(rank_cutoff=args.tol)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -35,20 +35,19 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds for rank decisions and reconstruction checks.
+    """Numerical threshold for rank decisions.
 
     rank_cutoff is relative: a singular value sigma counts toward the rank
     when sigma / sigma_max > rank_cutoff.
     """
 
     rank_cutoff: float = 1e-9
-    reconstruction_atol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rank_cutoff", "reconstruction_atol"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+        if not (0.0 < self.rank_cutoff < 1.0):
+            raise ValueError(
+                f"rank_cutoff must lie strictly between 0 and 1, got {self.rank_cutoff}"
+            )
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -84,12 +83,6 @@ class PartySubset:
     @property
     def is_proper(self) -> bool:
         return len(self.members) < self.n
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def _require_finite(
@@ -493,19 +486,27 @@ def complete_basis(vectors: np.ndarray) -> np.ndarray:
     return q
 
 
-def basis_change_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Unitary U with U @ source[:, i] = target[:, i] for each column i.
+def basis_change_unitary(source: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Unitary U with U @ source[:, i] = e_{rows[i]} for each orthonormal
+    source column i; ``rows`` must be distinct indices in [0, D).
 
-    Both column sets must be orthonormal; each is completed to a full basis
-    with :func:`complete_basis` and U is the resulting basis change.
+    The complement of distinct standard basis vectors is the other standard
+    basis vectors, so U is the adjoint of ``complete_basis(source)`` with
+    row i moved to ``rows[i]`` and the completion's rows to the other
+    indices in ascending order. U^H sends e_{rows[i]} to source[:, i] bit
+    for bit.
     """
-    source = np.asarray(source, dtype=np.complex128)
-    target = np.asarray(target, dtype=np.complex128)
-    if source.shape != target.shape:
-        raise ValueError("source and target must pair the same number of vectors")
-    s_full = complete_basis(source)
-    t_full = complete_basis(target)
-    return t_full @ s_full.conj().T
+    full = complete_basis(source)
+    rows = np.asarray(rows, dtype=np.intp)
+    others = np.setdiff1d(np.arange(full.shape[0]), rows)
+    if rows.shape != (np.shape(source)[1],) or rows.size + others.size != full.shape[0]:
+        raise ValueError(
+            f"rows {rows.tolist()} must be one distinct index in [0, {full.shape[0]}) "
+            "per source column"
+        )
+    unitary = np.empty_like(full)
+    unitary[np.concatenate([rows, others])] = full.conj().T
+    return unitary
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,11 +4,12 @@ biseparable / k-connection channels to density matrices.
 
 The freeing unitary exists exactly when the Schmidt rank across the cut
 fits into the cut with one party factored out: rank <= dim(cut) / d_free.
-It maps each cut-side Schmidt vector to |0>_free x e_i and is completed to
-a full basis change by a Householder QR of each column set. The two-layer
-preparation circuit is that unitary, on the complement of a pivot party,
-run backwards. A k-connection channel is a biseparable channel whose
-complement factor is a Kronecker product of single-party factors.
+It maps each cut-side Schmidt vector to |0>_free x e_i and is the adjoint
+of one Householder QR completion of those vectors, its rows permuted. The
+two-layer preparation circuit is that unitary, on the complement of a
+pivot party, run backwards after a layer that prepares what it leaves,
+read off the Schmidt data. A k-connection channel is a biseparable channel
+whose complement factor is a Kronecker product of single-party factors.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .core import (
     DensityMatrix,
     PartySubset,
     PureState,
+    SchmidtDecomposition,
     Tolerance,
-    _apply_on_axes,
     apply_local_operator,
     basis_change_unitary,
     basis_state,
@@ -39,24 +40,23 @@ from .errors import ChannelCompletenessError, DisentangleRankError
 CHANNEL_ATOL = 1e-9
 
 
-def _free_position(cut: PartySubset, free_party: int) -> int:
-    if free_party not in cut.members:
-        raise ValueError(f"free party {free_party} is not in the cut {cut.members}")
-    return cut.members.index(free_party)
-
-
-def _freed_targets(dims: tuple[int, ...], cut: PartySubset, free_party: int, count: int) -> np.ndarray:
-    """Columns |0>_free x e_i laid out on the cut's local space."""
-    cut_dims = tuple(dims[p] for p in cut.members)
-    pos = _free_position(cut, free_party)
-    rest_dims = cut_dims[:pos] + cut_dims[pos + 1 :]
-    side = math.prod(cut_dims)
-    targets = np.zeros((side, count), dtype=np.complex128)
-    for i in range(count):
-        rest_idx = np.unravel_index(i, rest_dims) if rest_dims else ()
-        full_idx = rest_idx[:pos] + (0,) + rest_idx[pos:]
-        targets[np.ravel_multi_index(full_idx, cut_dims), i] = 1.0
-    return targets
+def _freeing(
+    state: PureState, act_on: PartySubset, free_party: int, tol: Tolerance
+) -> tuple[np.ndarray, SchmidtDecomposition, int]:
+    """The freeing unitary, the Schmidt data it maps and the number count
+    of cut-side Schmidt vectors u_i it sends to |0>_free x e_i (e_i
+    row-major over the other cut parties)."""
+    if free_party not in act_on.members:
+        raise ValueError(f"free party {free_party} is not in the cut {act_on.members}")
+    pos = act_on.members.index(free_party)
+    cut_dims = tuple(state.dims[p] for p in act_on.members)
+    capacity = math.prod(cut_dims) // state.dims[free_party]
+    sd = schmidt(state, act_on, tol)
+    if sd.rank > capacity:
+        raise DisentangleRankError(sd.rank, capacity, act_on.members, free_party)
+    count = min(sd.coefficients.size, capacity)
+    rows = np.arange(math.prod(cut_dims)).reshape(cut_dims).take(0, axis=pos).reshape(-1)
+    return basis_change_unitary(sd.basis_cut[:, :count], rows[:count]), sd, count
 
 
 def build_disentangling_unitary(
@@ -72,17 +72,7 @@ def build_disentangling_unitary(
     that capacity. The returned matrix acts on the cut parties in ascending
     order.
     """
-    _free_position(act_on, free_party)
-    dims = state.dims
-    cut_dim = math.prod(dims[p] for p in act_on.members)
-    capacity = cut_dim // dims[free_party]
-    sd = schmidt(state, act_on, tol)
-    if sd.rank > capacity:
-        raise DisentangleRankError(sd.rank, capacity, act_on.members, free_party)
-    count = min(sd.coefficients.size, capacity)
-    source = sd.basis_cut[:, :count]
-    targets = _freed_targets(dims, act_on, free_party, count)
-    return basis_change_unitary(source, targets)
+    return _freeing(state, act_on, free_party, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +81,9 @@ class TwoDepthDecomposition:
 
     layer2 is the inverse of the unitary that frees ``freed`` on the
     complement of the pivot; layer1 acts on every party but the freed one
-    and prepares what that freeing unitary leaves there. For two parties
-    the construction degenerates to a single joint unitary in layer1 with
-    an identity layer2.
+    and prepares what that freeing unitary leaves there, read off the
+    pivot's Schmidt data. For two parties the construction degenerates to a
+    single joint unitary in layer1 with an identity layer2.
     """
 
     layer1: np.ndarray
@@ -117,10 +107,9 @@ class TwoDepthDecomposition:
 
 
 def _preparing_unitary(vec: np.ndarray) -> np.ndarray:
-    """Unitary that maps |0...0> to the unit vector ``vec``."""
-    source = np.zeros((vec.size, 1), dtype=np.complex128)
-    source[0, 0] = 1.0
-    return basis_change_unitary(source, vec.reshape(-1, 1))
+    """Unitary that maps |0...0> to the unit vector ``vec``: the completion
+    of ``vec`` to a basis, with ``vec`` as its first column."""
+    return basis_change_unitary(vec.reshape(-1, 1), [0]).conj().T
 
 
 def two_depth_decompose(
@@ -131,9 +120,12 @@ def two_depth_decompose(
 ) -> TwoDepthDecomposition:
     """Decompose any pure state into two biseparable unitary layers.
 
-    The freeing unitary U of build_disentangling_unitary, on the complement
-    of the pivot, maps the state to |0>_freed x |chi> with chi on every
-    party but the freed one. layer1 prepares chi from the all-zero state and
+    Across the pivot the state is sum_i sqrt(lambda_i) u_i x v_i. The
+    freeing unitary U of build_disentangling_unitary on the complement of
+    the pivot sends the first count u_i to |0>_freed x e_i, so U maps the
+    state to |0>_freed x |chi>, chi = sum_{i<count} sqrt(lambda_i) e_i x v_i,
+    which is built straight from that Schmidt data and is exactly zero at
+    every e_i with i >= count. layer1 prepares chi from the all-zero state and
     layer2 = U^dag restores the state. U exists, and so does the
     decomposition, exactly when the pivot cut's rank fits the capacity
     dim(rest) of the parties other than pivot and freed; otherwise a
@@ -156,16 +148,13 @@ def two_depth_decompose(
         )
 
     complement = PartySubset(tuple(p for p in range(n) if p != pivot), n)
-    freeing = build_disentangling_unitary(state, complement, freed, tol)
-    freed_state = _apply_on_axes(state, freeing, complement.members).reshape(dims)
-    chi = freed_state.take(0, axis=freed)
-    # The freeing unitary sends the at most dims[pivot] Schmidt vectors to
-    # |0>_freed x e_i, e_i row-major over the other parties, so chi vanishes
-    # at every e_i with i >= dims[pivot]. Clearing the round-off there keeps
-    # layer1 as sparse as chi.
-    rest_dims = tuple(dims[p] for p in range(n) if p not in (pivot, freed))
-    rest_index = np.arange(math.prod(rest_dims)).reshape(rest_dims)
-    chi = np.where(np.expand_dims(rest_index < dims[pivot], pivot - (pivot > freed)), chi, 0)
+    freeing, sd, count = _freeing(state, complement, freed, tol)
+    # chi as a rest x pivot matrix, rest row-major over the parties other
+    # than pivot and freed; then the pivot axis goes to its place.
+    rest_dims = tuple(dims[p] for p in complement.members if p != freed)
+    chi = np.zeros((math.prod(rest_dims), dims[pivot]), dtype=np.complex128)
+    chi[:count] = np.sqrt(sd.coefficients[:count, None]) * sd.basis_rest[:, :count].T
+    chi = np.moveaxis(chi.reshape(rest_dims + (dims[pivot],)), -1, pivot - (pivot > freed))
     return TwoDepthDecomposition(
         layer1=_preparing_unitary(chi),
         layer1_parties=PartySubset(tuple(p for p in range(n) if p != freed), n),

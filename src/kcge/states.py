@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DIM_BUDGET, PureState, _require_finite, guard_total_dim
+from .core import DIM_BUDGET, PureState, _require_finite, guard_total_dim, state_from_dict
 from .network import NetworkGraph
 
 
@@ -404,8 +404,6 @@ def family_from_dict(obj: dict) -> StateFamily:
     elif kind == "product":
         claimed = 0
     if kind == "network" and "edge_states" in params:
-        from .core import state_from_dict
-
         params = dict(params)
         params["edge_states"] = [state_from_dict(s) for s in params["edge_states"]]
     return StateFamily(kind, params, claimed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import level_subsets
 from .core import DensityMatrix, PartySubset, PureState, schmidt
-from .states import checked_coefficients
+from .states import checked_coefficients, ghz, w_type
 
 PROVENANCES = (
     "closed_form_ghz",
@@ -118,8 +118,6 @@ def werner_zero_crossing(r: float, dim: int) -> float:
 
 
 def ghz_witness(n: int, d: int, a) -> WitnessSpec:
-    from .states import ghz
-
     return WitnessSpec(
         target=ghz(n, d, a),
         level=1,
@@ -136,8 +134,6 @@ def w4_witness(level: int, a) -> WitnessSpec:
     weights), so this witness can go negative on a biseparable state. Use
     exact_witness(target, 1) for a sound level-1 witness.
     """
-    from .states import w_type
-
     return WitnessSpec(
         target=w_type(4, a),
         level=level,
@@ -188,7 +184,7 @@ def exact_radius(target: PureState, k: int) -> float:
     """
     best = max(
         schmidt(target, PartySubset(members, target.n)).coefficients[:threshold].sum()
-        for members, threshold in level_subsets(target, k)
+        for members, threshold in level_subsets(target, k, caller="exact_radius")
     )
     # A target within NORM_ATOL of unit norm can sum a hair past 1.
     return float(min(best, 1.0))

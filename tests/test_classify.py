@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from kcge import (
     subset_threshold,
     w_type,
 )
+from kcge.classify import SUBSET_BUDGET, level_subsets
 from kcge.core import FULL_RANK_MARGIN
 from kcge.errors import BudgetExceededError
 from kcge.network import chain_network, complete_network, star_network
@@ -143,6 +145,11 @@ class TestClassify:
         assert check.classifier_level == 2
         assert check.formula_level == 3
         assert check.exact_power and not check.matches
+        assert check.to_dict() == {
+            "n": 6, "d": 2, "s": 3, "classifier_level": 2, "formula_level": 3,
+            "exact_power": True, "matches": False,
+        }
+        assert compare_dicke_formula(4, 2, 2).to_dict()["matches"] is True
 
     def test_report_contents(self):
         report = classify(ghz(4, 2, [2**-0.5, 2**-0.5]))
@@ -210,7 +217,7 @@ class TestClassify:
         # still say level 0. Admixtures of 0.5 to 2 times the cutoff, at the
         # default and at other cutoffs, must give the upward scan's verdicts.
         for cutoff in (1e-9, 1e-6, 1e-2):
-            tol = Tolerance(rank_cutoff=cutoff, reconstruction_atol=cutoff)
+            tol = Tolerance(rank_cutoff=cutoff)
             st = branch_state(ghz(3, 2, [2**-0.5] * 2), w_type(3, [3**-0.5] * 3 + [0.0]),
                               0.9 * cutoff, 0)
             assert not is_k_cge(st, 1, tol).is_cge and is_k_cge(st, 2, tol).is_cge
@@ -313,8 +320,23 @@ class TestClassify:
 
     def test_budget_refusals(self):
         st = haar_state((2, 2, 2), RNG)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             classify(st, budget_dim=4)
+        assert str(exc.value) == (
+            "classify: total dimension exceeds budget 4 (the first 3 dims already give 8)"
+        )
+        # The stub carries only dims and n, so no 2^23 amplitudes are
+        # allocated; C(23, 11) = 1352078 subsets exceed SUBSET_BUDGET.
+        wide = SimpleNamespace(dims=(2,) * 23, n=23)
+        assert math.comb(23, 11) > SUBSET_BUDGET
+        with pytest.raises(BudgetExceededError) as exc:
+            classify(wide, budget_dim=2**23)
+        assert str(exc.value) == f"C(23, 11) subsets exceed budget {SUBSET_BUDGET}"
+        with pytest.raises(BudgetExceededError) as exc:
+            next(level_subsets(wide, 1, 2**23, caller="exact_radius"))
+        assert str(exc.value) == (
+            f"exact_radius: C(23, 11) subsets exceed budget {SUBSET_BUDGET}"
+        )
 
 
 class TestBiseparable:

@@ -19,6 +19,7 @@ from kcge import (
     ghz,
     haar_state,
     haar_unitary,
+    network_joint_state,
     partial_trace,
     schmidt,
     state_from_dict,
@@ -44,7 +45,7 @@ GHZ3_FAMILY = {"family": "ghz", "n": 3, "d": 2, "a": [2**-0.5, 2**-0.5]}
 CHAIN4 = {"n": 4, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
 K6 = {"n": 6, "edges": [[i, j, 1] for i in range(6) for j in range(i + 1, 6)]}
 SPECIAL = (-0.0, 1.0, 1e-300, 5e-324, 1e16, 1 / 3)
-TOL = Tolerance(rank_cutoff=1e-9, reconstruction_atol=1e-9)
+TOL = Tolerance(rank_cutoff=1e-9)
 
 
 # The oracle for array output: json.dumps of the nested-list forms, which
@@ -132,6 +133,20 @@ class TestGenerateClassify:
         _, out1, _ = run(capsys, ["classify", "--state", state_path])
         _, out2, _ = run(capsys, ["classify", "--state", state_path])
         assert out1 == out2
+
+    def test_generate_network_with_edge_states(self, tmp_path, capsys):
+        rng = np.random.default_rng(2718)
+        graph = {"n": 3, "edges": [[0, 1, 1, 3], [1, 2, 2]]}
+        states = [state_to_dict(haar_state(dims, rng)) for dims in ((3, 3), (2, 2), (2, 2))]
+        spec = {"family": "network", "graph": graph, "edge_states": states}
+        code, out, err = run(capsys, ["generate", "--family", write_json(tmp_path / "fam.json", spec)])
+        assert code == 0 and err == ""
+        want = network_joint_state(
+            NetworkGraph.from_dict(graph), [state_from_dict(s) for s in states]
+        )
+        obj = json.loads(out)
+        assert obj["dims"] == list(want.dims) == [3, 12, 4]
+        assert np.array_equal(np.array(obj["amps"]), np.column_stack([want.amps.real, want.amps.imag]))
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         fam = write_json(tmp_path / "fam.json", GHZ3_FAMILY)

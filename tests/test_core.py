@@ -26,7 +26,11 @@ from kcge import (
     swap_matrix,
 )
 from kcge.core import FULL_RANK_MARGIN, basis_change_unitary, complete_basis, guard_total_dim
-from kcge.disentangle import apply_biseparable_channel, identity_biseparable_channel
+from kcge.disentangle import (
+    _preparing_unitary,
+    apply_biseparable_channel,
+    identity_biseparable_channel,
+)
 from kcge.errors import BudgetExceededError
 from kcge.witness import werner_state
 
@@ -93,8 +97,6 @@ class TestTypes:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             Tolerance(rank_cutoff=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(reconstruction_atol=1.0)
 
     def test_density_matrix_validation(self):
         cases = [
@@ -514,11 +516,30 @@ class TestOperatorTools:
                 complete_basis(vecs)
 
     def test_basis_change_maps_sources_to_targets(self):
-        src = np.linalg.qr(RNG.standard_normal((5, 3)) + 1j * RNG.standard_normal((5, 3)))[0]
-        tgt = np.linalg.qr(RNG.standard_normal((5, 3)) + 1j * RNG.standard_normal((5, 3)))[0]
-        u = basis_change_unitary(src, tgt)
-        assert np.allclose(u @ src, tgt, atol=1e-10)
-        assert np.allclose(u.conj().T @ u, np.eye(5), atol=1e-10)
+        rng = np.random.default_rng(513)
+        for dim, rows in [(5, [4, 0, 2]), (2, [1]), (6, []), (8, list(range(8))[::-1]),
+                          (64, [63, 1, 17, 0])]:
+            src = haar_unitary(dim, rng)[:, : len(rows)]
+            u = basis_change_unitary(src, rows)
+            identity = np.eye(dim)
+            assert np.max(np.abs(u @ src - identity[:, rows]), initial=0.0) <= 1e-12
+            assert np.max(np.abs(u.conj().T @ u - identity)) <= 1e-12
+            # U^H sends e_{rows[i]} back to source column i bit for bit.
+            assert np.array_equal(u.conj().T[:, rows], src)
+
+    def test_basis_change_rejects_bad_rows(self):
+        src = haar_unitary(4, RNG)[:, :2]
+        for rows in ([0], [0, 1, 2], [1, 1], [0, 4], [-1, 2], [[0, 1], [2, 3]]):
+            with pytest.raises(ValueError, match="one distinct index"):
+                basis_change_unitary(src, rows)
+
+    def test_preparing_unitary_is_the_completion_of_the_vector(self):
+        rng = np.random.default_rng(514)
+        for dim in (2, 3, 16, 256):
+            vec = haar_state((dim,), rng).amps
+            ours = _preparing_unitary(vec)
+            assert np.array_equal(ours, complete_basis(vec.reshape(-1, 1)))
+            assert np.array_equal(ours[:, 0], vec)
 
 
 class TestStateJson:

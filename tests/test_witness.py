@@ -305,9 +305,13 @@ class TestExactRadius:
     def test_budget_refuses_before_any_svd(self, monkeypatch):
         calls = []
         monkeypatch.setattr(witness_module, "schmidt", lambda *a, **k: calls.append(a))
-        with pytest.raises(BudgetExceededError, match="budget"):
+        with pytest.raises(BudgetExceededError) as exc:
             exact_radius(basis_state((2,) * 17), 1)
         assert not calls
+        assert str(exc.value) == (
+            f"exact_radius: total dimension exceeds budget {2**16} "
+            f"(the first 17 dims already give {2**17})"
+        )
 
     def test_scans_the_subsets_of_is_k_cge_in_its_order(self, monkeypatch):
         # A Haar state passes every level, so is_k_cge visits every subset.
