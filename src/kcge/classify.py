@@ -29,6 +29,17 @@ dims, the reported top-level threshold T. ``classify`` therefore scans
 the top level K first at cutoff T (2c + 1e-12), where the 2 and the 1e-12
 absorb SVD round-off: a pass there passes every level at cutoff c without
 a scan. Otherwise it scans upward from level 1 at cutoff c.
+
+A state fixed by every party permutation needs one subset per level. The
+swap (0 1) and the cycle (0 1 ... n-1) generate S_n, so when all dims are
+equal and the amplitude tensor equals its transpose under both, byte for
+byte, it equals its transpose under every permutation, and
+``bipartite_matrix`` gives the same array for every size-k subset. Every
+rank, Schmidt coefficient and report byte is then that of (0, ..., k-1),
+the lexicographically first subset, so ``level_subsets`` yields it alone.
+Dicke, GHZ (any coefficients) and products of one repeated factor qualify,
+also after a JSON round trip. The test is exact: an approximate one could
+flip a verdict near the cutoff.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -72,18 +85,45 @@ def check_budget(
         )
 
 
+def _is_permutation_symmetric(state: PureState) -> bool:
+    """The symmetry test of ``level_subsets``. It compares raw 64-bit
+    words, so -0.0 differs from +0.0."""
+    n = state.n
+    if n < 2 or len(set(state.dims)) != 1:
+        return False
+    tensor = state.as_tensor()
+    words = tensor.view(np.uint64)
+    swap = (1, 0, *range(2, n))
+    cycle = (*range(1, n), 0)
+    return all(
+        np.array_equal(np.ascontiguousarray(tensor.transpose(perm)).view(np.uint64), words)
+        for perm in (swap, cycle)
+    )
+
+
 def level_subsets(
     state: PureState, k: int, budget_dim: int = DIM_BUDGET, caller: str | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (members, subset_threshold) for every size-k subset in
     combinations order, after checking 1 <= k <= floor(n/2) and the budget:
     the one level scan of ``is_k_cge`` and ``witness.exact_radius``. A
-    budget refusal names ``caller`` (see ``check_budget``)."""
+    budget refusal names ``caller`` (see ``check_budget``).
+
+    When n >= 2, all dims are equal and the amplitude tensor equals, byte
+    for byte, its transposes under the swap (0 1) and the cycle
+    (0 1 ... n-1), which generate S_n, every size-k ``bipartite_matrix`` is
+    the same array. Then (0, ..., k-1) alone is yielded: every other subset
+    has its rank and Schmidt coefficients, so it is the lexicographically
+    first witness and attains the largest overlap."""
     n = state.n
     if not 1 <= k <= n // 2:
         raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
     check_budget(state, budget_dim, caller)
-    for members in itertools.combinations(range(n), k):
+    if _is_permutation_symmetric(state):
+        subsets = [tuple(range(k))]
+    else:
+        subsets = itertools.combinations(range(n), k)
+    for members in subsets:
         yield members, subset_threshold(state.dims, members)
 
 

@@ -9,6 +9,7 @@ unknown subcommand. Diagnostics go to stderr only; results go to stdout or
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -56,8 +57,18 @@ run `kcge <command> --help` for options
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a JSON file with the cyclic garbage collector paused: a 2^16
+    state decodes into 65536 two-element lists, whose allocation would
+    otherwise trigger full collections that find nothing to free. The
+    collector's prior state is restored however the parse ends."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _emit(payload: str, out: str | None) -> None:

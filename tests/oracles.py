@@ -93,16 +93,18 @@ def svd_rank(amps, dims, cut, cutoff=1e-9):
     return int(np.count_nonzero(sigma / sigma[0] > cutoff))
 
 
-def brute_classify(amps, dims, cutoff=1e-9):
+def brute_classify(amps, dims, cutoff=1e-9, rank=gram_rank):
     """Connection level by exhaustive bipartition enumeration with
-    Gram-matrix ranks."""
+    Gram-matrix ranks, or with ``rank(amps, dims, subset, cutoff)`` when
+    given (``svd_rank`` is far faster than the index loops above 10^3
+    amplitudes)."""
     n = len(dims)
     level = 0
     for k in range(1, n // 2 + 1):
         ok = True
         for subset in combinations(range(n), k):
             threshold = math.prod(dims[p] for p in subset) // min(dims[p] for p in subset)
-            if gram_rank(amps, dims, subset, cutoff) <= threshold:
+            if rank(amps, dims, subset, cutoff) <= threshold:
                 ok = False
                 break
         if not ok:

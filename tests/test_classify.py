@@ -19,6 +19,7 @@ from kcge import (
     classify,
     compare_dicke_formula,
     dicke,
+    family_from_dict,
     ghz,
     haar_state,
     haar_unitary,
@@ -26,6 +27,8 @@ from kcge import (
     is_k_connection_biseparable,
     network_joint_state,
     schmidt_rank,
+    state_from_dict,
+    state_to_dict,
     subset_threshold,
     w_type,
 )
@@ -34,7 +37,7 @@ from kcge.core import FULL_RANK_MARGIN
 from kcge.errors import BudgetExceededError
 from kcge.network import chain_network, complete_network, star_network
 
-from oracles import brute_classify
+from oracles import brute_classify, svd_rank
 
 RNG = np.random.default_rng(4242)
 
@@ -93,6 +96,57 @@ def branch_state(x, y, eps, party):
     """|0>_party x + eps |1>_party y on qubits, normalized."""
     t = np.moveaxis(np.stack([x.as_tensor(), eps * y.as_tensor()]), 0, party)
     return PureState((2,) * (x.n + 1), t.reshape(-1) / np.linalg.norm(t))
+
+
+def symmetric_corpus(rng):
+    """States fixed bit for bit by every party permutation: the Dicke grid
+    n <= 8, d in {2, 3}, every s; GHZ with unequal coefficients; and the
+    product family |0...0>."""
+    states = [
+        dicke(n, d, s) for d in (2, 3) for n in range(2, 9) for s in range(n * (d - 1) + 1)
+    ]
+    for n, d in [(3, 2), (4, 3), (6, 2), (7, 3)]:
+        a = rng.uniform(0.2, 1.0, size=d)
+        states.append(ghz(n, d, a / np.linalg.norm(a)))
+    for n, d in [(2, 3), (5, 2), (6, 3)]:
+        states.append(family_from_dict({"family": "product", "dims": [d] * n}).build())
+    return states
+
+
+def moved_one_ulp(st):
+    """``st`` with the real part of one amplitude moved up by one ulp: a
+    nonzero amplitude off the indices |i...i> (which every permutation
+    fixes) where there is one, else the zero at index 1."""
+    d, n = st.dims[0], st.n
+    step = (d**n - 1) // (d - 1)
+    idx = next((int(i) for i in np.flatnonzero(st.amps) if i % step), 1)
+    amps = st.amps.copy()
+    amps[idx] = complex(np.nextafter(amps[idx].real, np.inf), amps[idx].imag)
+    return PureState(st.dims, amps)
+
+
+def record_scan(monkeypatch):
+    """Record the cut of every schmidt_rank call made by is_k_cge, and the
+    number of is_k_cge calls that classify makes (one per level scanned)."""
+    module = importlib.import_module("kcge.classify")
+    seen = SimpleNamespace(cuts=[], levels=0)
+    real_rank, real_level = module.schmidt_rank, module.is_k_cge
+
+    def rank(state, cut, *args, **kwargs):
+        seen.cuts.append(cut.members)
+        return real_rank(state, cut, *args, **kwargs)
+
+    def level(*args, **kwargs):
+        seen.levels += 1
+        return real_level(*args, **kwargs)
+
+    monkeypatch.setattr(module, "schmidt_rank", rank)
+    monkeypatch.setattr(module, "is_k_cge", level)
+    return seen
+
+
+def scanned(st, k):
+    return [members for members, _ in level_subsets(st, k)]
 
 
 class TestIsKCge:
@@ -427,3 +481,68 @@ class TestProperties:
         ]
         for st in corpus:
             assert classify(st).max_cge_level == brute_classify(st.amps, st.dims)
+
+
+class TestPermutationSymmetricShortcut:
+    def test_symmetric_states_scan_one_subset_per_level(self, monkeypatch):
+        seen = record_scan(monkeypatch)
+        for st in symmetric_corpus(np.random.default_rng(1414)):
+            seen.cuts.clear()
+            seen.levels = 0
+            level = classify(st).max_cge_level
+            assert level == brute_classify(st.amps, st.dims, rank=svd_rank), st.dims
+            assert len(seen.cuts) == seen.levels >= 1
+            assert all(cut == tuple(range(len(cut))) for cut in seen.cuts)
+            for k in range(1, st.n // 2 + 1):
+                assert list(level_subsets(st, k)) == [(tuple(range(k)), st.dims[0] ** (k - 1))]
+
+    def test_reports_match_the_full_scan(self, monkeypatch):
+        module = importlib.import_module("kcge.classify")
+        corpus = symmetric_corpus(np.random.default_rng(1415))
+        tight = Tolerance(rank_cutoff=1e-3)
+        shortcut = [(classify(st).to_dict(), classify(st, tight).to_dict()) for st in corpus]
+        monkeypatch.setattr(module, "_is_permutation_symmetric", lambda state: False)
+        full = [(classify(st).to_dict(), classify(st, tight).to_dict()) for st in corpus]
+        assert json.dumps(shortcut) == json.dumps(full)
+
+    def test_one_ulp_off_takes_the_full_scan_and_agrees(self, monkeypatch):
+        seen = record_scan(monkeypatch)
+        for st in symmetric_corpus(np.random.default_rng(1416)):
+            moved = moved_one_ulp(st)
+            n = st.n
+            for k in range(1, n // 2 + 1):
+                assert scanned(moved, k) == list(combinations(range(n), k))
+                seen.cuts.clear()
+                if is_k_cge(moved, k).is_cge:
+                    assert len(seen.cuts) == math.comb(n, k)
+            report = classify(moved)
+            assert report.to_dict() == classify(st).to_dict()
+            assert report.max_cge_level == brute_classify(moved.amps, moved.dims, rank=svd_rank)
+
+    def test_a_negative_zero_takes_the_full_scan(self):
+        # Index 1 holds |0...01>, a zero amplitude of both states.
+        for st in (dicke(6, 2, 3), ghz(4, 3, [0.6, 0.48, 0.64])):
+            amps = st.amps.copy()
+            amps[1] = complex(-0.0, 0.0)
+            signed = PureState(st.dims, amps)
+            assert np.array_equal(signed.amps, st.amps) and np.signbit(signed.amps[1].real)
+            for k in range(1, st.n // 2 + 1):
+                assert scanned(st, k) == [tuple(range(k))]
+                assert scanned(signed, k) == list(combinations(range(st.n), k))
+            assert classify(signed).to_dict() == classify(st).to_dict()
+            assert classify(signed).max_cge_level == brute_classify(signed.amps, signed.dims)
+
+    def test_mixed_dims_never_take_the_shortcut(self):
+        rng = np.random.default_rng(1417)
+        for dims in [(2, 3), (3, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2, 2)]:
+            for st in (basis_state(dims), haar_state(dims, rng)):
+                for k in range(1, len(dims) // 2 + 1):
+                    assert scanned(st, k) == list(combinations(range(len(dims)), k))
+                assert classify(st).max_cge_level == brute_classify(st.amps, st.dims)
+
+    def test_json_round_trip_keeps_the_shortcut(self):
+        for st in (dicke(8, 3, 5), ghz(6, 2, [0.6, 0.8])):
+            loaded = state_from_dict(json.loads(json.dumps(state_to_dict(st))))
+            for k in range(1, st.n // 2 + 1):
+                assert scanned(loaded, k) == [tuple(range(k))]
+            assert classify(loaded).to_dict() == classify(st).to_dict()

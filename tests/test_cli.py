@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import gc
 import json
 import math
 import time
@@ -560,6 +561,30 @@ class TestExitCodes:
         code, _, err = run(capsys, ["classify", "--state", str(bad)])
         assert code == 2
         assert "line" in err and "column" in err
+
+    def test_json_decode_pauses_and_restores_the_collector(self, tmp_path, capsys, monkeypatch):
+        good = write_json(tmp_path / "state.json", state_to_dict(ghz(3, 2, [2**-0.5, 2**-0.5])))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dims": [2,')
+        during = []
+        real_load = json.load
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(json, "load", spy)
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                assert run(capsys, ["classify", "--state", good])[0] == 0
+                assert gc.isenabled() == enabled
+                assert run(capsys, ["classify", "--state", str(bad)])[0] == 2
+                assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert during == [False] * 4
 
     def test_bad_normalization(self, tmp_path, capsys):
         state = write_json(

@@ -22,6 +22,7 @@ from kcge import (
     basis_state,
     build_disentangling_unitary,
     classify,
+    dicke,
     exact_radius,
     exact_witness,
     ghz,
@@ -202,6 +203,28 @@ class TestExactRadius:
                     oracle = top_eigen_radius(st.amps, dims, k)
                     assert abs(exact_radius(st, k) - oracle) < 1e-12
 
+    def test_symmetric_targets_match_oracle_and_full_scan(self):
+        # Symmetric targets take one subset per level; the radius must be
+        # the eigenvalue oracle's and, bit for bit, the full-scan maximum.
+        rng = np.random.default_rng(2718)
+        targets = [
+            dicke(n, d, s) for n, d, s in [(4, 2, 2), (6, 2, 3), (5, 3, 4), (7, 2, 2), (6, 3, 5)]
+        ]
+        for n, d in [(4, 2), (5, 3), (6, 2)]:
+            a = rng.uniform(0.2, 1.0, size=d)
+            targets.append(ghz(n, d, a / np.linalg.norm(a)))
+        for st in targets:
+            for k in range(1, st.n // 2 + 1):
+                full = max(
+                    schmidt(st, PartySubset(members, st.n))
+                    .coefficients[: subset_threshold(st.dims, members)]
+                    .sum()
+                    for members in combinations(range(st.n), k)
+                )
+                radius = exact_radius(st, k)
+                assert radius == float(min(full, 1.0))
+                assert abs(radius - top_eigen_radius(st.amps, st.dims, k)) < 1e-12
+
     def test_product_target_is_one(self):
         assert abs(exact_radius(basis_state((2, 3, 2)), 1) - 1.0) < 1e-12
 
@@ -337,3 +360,12 @@ class TestExactRadius:
                 assert is_k_cge(st, k).is_cge
                 assert seen["witness"] == seen["classify"]
                 assert seen["witness"] == list(combinations(range(len(dims)), k))
+        # A permutation-symmetric target visits (0, ..., k-1) alone, whether
+        # its level passes (k <= 2) or fails.
+        st = dicke(8, 2, 4)
+        for k in range(1, 5):
+            seen["witness"].clear()
+            seen["classify"].clear()
+            exact_radius(st, k)
+            assert is_k_cge(st, k).is_cge == (k <= 2)
+            assert seen["witness"] == seen["classify"] == [tuple(range(k))]
