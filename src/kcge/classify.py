@@ -58,6 +58,7 @@ from .core import (
     PureState,
     Tolerance,
     guard_total_dim,
+    plain,
     schmidt_rank,
 )
 from .errors import BudgetExceededError
@@ -143,15 +144,7 @@ class LevelVerdict:
     # when they were.
     implied: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "is_cge": self.is_cge,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "witness_rank": self.witness_rank,
-            "witness_threshold": self.witness_threshold,
-            "implied": self.implied,
-        }
+    to_dict = plain
 
 
 @dataclass(frozen=True)
@@ -162,16 +155,7 @@ class ClassificationReport:
     thresholds_used: tuple[tuple[int, int], ...]
     tolerance: Tolerance
 
-    def to_dict(self) -> dict:
-        return {
-            "max_cge_level": self.max_cge_level,
-            "dims": list(self.dims),
-            "per_level": [v.to_dict() for v in self.per_level],
-            "thresholds_used": [list(t) for t in self.thresholds_used],
-            "tolerance": {
-                "rank_cutoff": self.tolerance.rank_cutoff,
-            },
-        }
+    to_dict = plain
 
 
 def is_k_cge(
@@ -273,15 +257,7 @@ class DickeFormulaCheck:
         return self.classifier_level == self.formula_level
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "s": self.s,
-            "classifier_level": self.classifier_level,
-            "formula_level": self.formula_level,
-            "exact_power": self.exact_power,
-            "matches": self.matches,
-        }
+        return {**plain(self), "matches": self.matches}
 
 
 def compare_dicke_formula(

@@ -1,9 +1,9 @@
 """Command-line interface: JSON in, JSON (or CSV) out.
 
 Exit codes: 0 success, 2 validation problem (malformed JSON, NaN or Inf
-amplitudes, bad normalization, dimension mismatch), 3 budget refusal, 64
-unknown subcommand. Diagnostics go to stderr only; results go to stdout or
---out.
+amplitudes, bad normalization, dimension mismatch, a non-integer or
+overflowing number), 3 budget refusal, 64 unknown subcommand. Diagnostics
+go to stderr only; results go to stdout or --out.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             f"malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}\n"
         )
         return 2
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -13,7 +13,8 @@ Conventions used by every other module:
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+import operator
+from dataclasses import InitVar, dataclass, fields, is_dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,6 +86,28 @@ class PartySubset:
         return len(self.members) < self.n
 
 
+def plain(value):
+    """The JSON form of a report: a dataclass becomes a dict of its fields in
+    declaration order and a tuple a list, recursively; any other value
+    passes through. Report classes use it as their ``to_dict``."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [plain(v) for v in value]
+    return value
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int. Integers and integral floats pass; anything
+    else (a fraction, Inf, NaN, a string) raises ValueError naming ``name``."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_finite(
     arr: np.ndarray, what: str, entries: str = "amplitudes", name: str = "amps"
 ) -> None:
@@ -125,10 +148,9 @@ class PureState:
 
     dims: tuple[int, ...]
     amps: np.ndarray
-    check_norm: InitVar[bool] = True
 
-    def __post_init__(self, check_norm: bool):
-        dims = tuple(int(d) for d in self.dims)
+    def __post_init__(self):
+        dims = tuple(_as_int(d, "dims entry") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("a state needs at least one party")
@@ -137,10 +159,9 @@ class PureState:
         amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
         _require_size(dims, amps.size, "state")
         _require_finite(amps, "state")
-        if check_norm:
-            nrm = float(np.linalg.norm(amps))
-            if abs(nrm - 1.0) > NORM_ATOL:
-                raise ValueError(f"state is not normalized: |amps| = {nrm!r}")
+        nrm = float(np.linalg.norm(amps))
+        if abs(nrm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state is not normalized: |amps| = {nrm!r}")
         object.__setattr__(self, "amps", _freeze(amps.copy()))
 
     @property
@@ -178,7 +199,8 @@ class PureState:
 class DensityMatrix:
     """Hermitian, positive semidefinite, trace-one operator on a tensor space.
 
-    Every construction checks the shape, finite entries, Hermiticity and the
+    Every construction checks the shape, finite entries, Hermiticity (no
+    entry of M - M^H above HERMITICITY_ATOL in absolute value) and the
     trace. The eigenvalue check for positive semidefiniteness is a full
     ``eigvalsh``; ``check_psd=False`` skips it, and is passed only where the
     matrix is built from a pure state and is positive semidefinite by
@@ -198,7 +220,7 @@ class DensityMatrix:
         if mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         _require_finite(mat, "density matrix", "entries", "matrix")
-        if not np.allclose(mat, mat.conj().T, atol=HERMITICITY_ATOL):
+        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
@@ -402,30 +424,16 @@ def _apply_on_axes(state: PureState, op: np.ndarray, parties: Sequence[int]) -> 
     return out.reshape(-1)
 
 
-def apply_local_operator(
-    state: PureState,
-    op: np.ndarray,
-    on: PartySubset,
-    allow_nonunitary: bool = False,
-) -> PureState:
-    """Apply ``op`` on the tensor factors in ``on`` and the identity elsewhere.
-
-    Unitary operators (within tolerance) yield a renormalized state. General
-    operators, e.g. single Kraus terms, are rejected unless
-    ``allow_nonunitary`` is set, in which case the result keeps whatever norm
-    the operator produced.
-    """
+def apply_local_operator(state: PureState, op: np.ndarray, on: PartySubset) -> PureState:
+    """Apply the unitary ``op`` on the tensor factors in ``on`` and the
+    identity elsewhere, renormalizing the result. An operator that is not
+    unitary within tolerance (a single Kraus term, say) raises ValueError."""
     if on.n != state.n:
         raise ValueError(f"subset declared for n={on.n}, state has n={state.n}")
     vec = _apply_on_axes(state, op, on.members)
-    if is_unitary(op):
-        return PureState(state.dims, vec / np.linalg.norm(vec))
-    if not allow_nonunitary:
-        raise ValueError(
-            "operator is not unitary within tolerance; pass allow_nonunitary=True "
-            "to apply general (e.g. Kraus) operators"
-        )
-    return PureState(state.dims, vec, check_norm=False)
+    if not is_unitary(op):
+        raise ValueError("operator is not unitary within tolerance")
+    return PureState(state.dims, vec / np.linalg.norm(vec))
 
 
 def expand_to_full(op: np.ndarray, parties: Sequence[int], dims: Sequence[int]) -> np.ndarray:
@@ -561,7 +569,7 @@ def state_to_dict(state: PureState) -> dict:
 def state_from_dict(obj: dict) -> PureState:
     if not isinstance(obj, dict) or "dims" not in obj or "amps" not in obj:
         raise ValueError("state JSON must be an object with 'dims' and 'amps'")
-    dims = [int(d) for d in obj["dims"]]
+    dims = [_as_int(d, "state JSON dims entry") for d in obj["dims"]]
     pairs = obj["amps"]
     amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     _require_size(dims, amps.size, "state JSON")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, DIM_BUDGET, PartySubset, Tolerance
+from .core import DEFAULT_TOLERANCE, DIM_BUDGET, PartySubset, Tolerance, _as_int, plain
 from .errors import BudgetExceededError
 
 # Largest n x n edge-unit matrix a graph may ask for: 2^18 entries (2 MiB
@@ -36,6 +36,7 @@ class NetworkGraph:
     edges: tuple[tuple[int, int, int, int], ...]  # (i, j, multiplicity, local dim)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n, "network n"))
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.n * self.n > UNITS_BUDGET:
@@ -50,7 +51,8 @@ class NetworkGraph:
                 dim = 2
             else:
                 i, j, mult, dim = edge
-            i, j, mult, dim = int(i), int(j), int(mult), int(dim)
+            what = f"edge {list(edge)} entry"
+            i, j, mult, dim = (_as_int(x, what) for x in (i, j, mult, dim))
             if i == j:
                 raise ValueError(f"self-loop at party {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -92,14 +94,13 @@ class NetworkGraph:
     def units_between(self, a: int, b: int) -> int:
         return int(self.units[a, b])
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "edges": [[i, j, m, d] for i, j, m, d in self.edges]}
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NetworkGraph":
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise ValueError("network JSON must be an object with 'n' and 'edges'")
-        return cls(int(obj["n"]), tuple(tuple(e) for e in obj["edges"]))
+        return cls(obj["n"], tuple(tuple(e) for e in obj["edges"]))
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,7 @@ class SizeCheck:
     t: int
     fires: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "s_in": self.s_in,
-            "s_out": self.s_out,
-            "t": self.t,
-            "fires": self.fires,
-        }
+    to_dict = plain
 
 
 @dataclass(frozen=True)
@@ -215,15 +209,7 @@ class SeedTrace:
     first_firing_size: int | None
     level_bound: int
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "degree": self.degree,
-            "growth": list(self.growth),
-            "checks": [c.to_dict() for c in self.checks],
-            "first_firing_size": self.first_firing_size,
-            "level_bound": self.level_bound,
-        }
+    to_dict = plain
 
 
 @dataclass(frozen=True)
@@ -237,17 +223,7 @@ class NetworkBoundReport:
     cge_upper_bound: int
     trace: tuple[SeedTrace, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "degree_condition_size": self.degree_condition_size,
-            "connectivity": self.connectivity,
-            "connectivity_biseparable_size": self.connectivity_biseparable_size,
-            "connectivity_applies": self.connectivity_applies,
-            "connectivity_level_bound": self.connectivity_level_bound,
-            "cge_upper_bound": self.cge_upper_bound,
-            "trace": [t.to_dict() for t in self.trace],
-        }
+    to_dict = plain
 
 
 def _grow_from_seed(g: NetworkGraph, seed: int) -> SeedTrace:
@@ -336,7 +312,7 @@ class CrossCheckRecord:
 
     def to_dict(self) -> dict:
         return {
-            "network_bound": self.report.to_dict(),
+            "network_bound": plain(self.report),
             "classifier_level": self.classifier_level,
             "consistent": self.consistent,
         }

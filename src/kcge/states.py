@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DIM_BUDGET, PureState, _require_finite, guard_total_dim, state_from_dict
+from .core import (
+    DIM_BUDGET,
+    PureState,
+    _as_int,
+    _require_finite,
+    guard_total_dim,
+    state_from_dict,
+)
 from .network import NetworkGraph
 
 
@@ -110,8 +117,8 @@ def dicke_cge_formula(d: int, s: int) -> int:
     floor(log_d(s + 1)) + 1, evaluated in exact integer arithmetic.
 
     The rank-based classifier is the ground truth and disagrees on a
-    documented parameter set (see compare_dicke_formula); family specs claim
-    dicke_level_exact instead.
+    documented parameter set (see compare_dicke_formula); dicke_level_exact
+    gives the classifier's level in closed form.
     """
     if d < 2 or s < 0:
         raise ValueError(f"need d >= 2 and s >= 0, got d={d}, s={s}")
@@ -346,12 +353,11 @@ def network_joint_state(
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A named family plus its parameters and the asserted connection level
-    (when one is claimed for that family)."""
+    """A named family and its parameters, as read from a family spec. The
+    connection level of the built state is whatever ``classify`` finds."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
-    claimed_cge: int | None = None
 
     def build(self, budget: int = DIM_BUDGET) -> PureState:
         """Build the state, refusing any whose total dimension exceeds
@@ -376,7 +382,7 @@ class StateFamily:
             graph = NetworkGraph.from_dict(p["graph"])
             return network_joint_state(graph, p.get("edge_states"), budget=budget)
         if self.kind == "product":
-            dims = tuple(int(d) for d in p["dims"])
+            dims = tuple(_as_int(d, "product dims entry") for d in p["dims"])
             guard_total_dim(dims, budget, "product")
             amps = np.zeros(math.prod(dims), dtype=np.complex128)
             amps[0] = 1.0
@@ -389,21 +395,6 @@ def family_from_dict(obj: dict) -> StateFamily:
         raise ValueError("family JSON must be an object with a 'family' key")
     kind = str(obj["family"])
     params = {k: v for k, v in obj.items() if k != "family"}
-    claimed: int | None = None
-    if kind == "ghz":
-        nonzero = sum(1 for x in params.get("a", ()) if abs(x) > 0)
-        claimed = 1 if nonzero >= 2 else 0
-    elif kind == "w_type":
-        a = params.get("a", ())
-        if len(a) >= 5 and all(abs(x) > 0 for x in a) and params.get("n", 0) >= 4:
-            claimed = 2
-    elif kind == "dicke":
-        claimed = dicke_level_exact(int(params["n"]), int(params["d"]), int(params["s"]))
-    elif kind in ("cluster", "graph"):
-        claimed = 1
-    elif kind == "product":
-        claimed = 0
     if kind == "network" and "edge_states" in params:
-        params = dict(params)
         params["edge_states"] = [state_from_dict(s) for s in params["edge_states"]]
-    return StateFamily(kind, params, claimed)
+    return StateFamily(kind, params)

@@ -602,6 +602,56 @@ class TestExitCodes:
             assert code == 2
             assert "non-finite amplitudes" in err
 
+    def raw(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def refused(self, capsys, argv, names):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert names in err and "Traceback" not in err
+
+    def test_classify_huge_dim(self, tmp_path, capsys):
+        state = self.raw(tmp_path, "s.json", '{"dims": [1e400], "amps": [[1, 0], [0, 0]]}')
+        self.refused(capsys, ["classify", "--state", state], "state JSON dims entry")
+
+    def test_classify_huge_amplitude(self, tmp_path, capsys):
+        state = self.raw(
+            tmp_path, "s.json", '{"dims": [2], "amps": [[1' + "0" * 400 + ', 0], [0, 0]]}'
+        )
+        self.refused(capsys, ["classify", "--state", state], "too large")
+
+    def test_network_huge_n(self, tmp_path, capsys):
+        graph = self.raw(tmp_path, "g.json", '{"n": 1e400, "edges": [[0, 1, 1]]}')
+        self.refused(capsys, ["network", "--graph", graph], "network n")
+
+    def test_cross_check_huge_multiplicity(self, tmp_path, capsys):
+        graph = self.raw(tmp_path, "g.json", '{"n": 2, "edges": [[0, 1, 1e400]]}')
+        self.refused(capsys, ["cross-check", "--graph", graph], "edge [0, 1, inf] entry")
+
+    def test_generate_product_huge_dim(self, tmp_path, capsys):
+        spec = self.raw(tmp_path, "f.json", '{"family": "product", "dims": [1e400]}')
+        self.refused(capsys, ["generate", "--family", spec], "product dims entry")
+
+    def test_classify_fractional_dim(self, tmp_path, capsys):
+        state = write_json(tmp_path / "s.json", {"dims": [2.7], "amps": [[1, 0], [0, 0]]})
+        self.refused(capsys, ["classify", "--state", state], "state JSON dims entry")
+        state = write_json(tmp_path / "s.json", {"dims": [2.0], "amps": [[1, 0], [0, 0]]})
+        code, out, _ = run(capsys, ["classify", "--state", state])
+        assert code == 0 and json.loads(out)["dims"] == [2]
+
+    def test_network_fractional_edge_entry(self, tmp_path, capsys):
+        graph = write_json(tmp_path / "g.json", {"n": 3, "edges": [[0, 1, 1], [1, 2.5, 1]]})
+        self.refused(capsys, ["network", "--graph", graph], "edge [1, 2.5, 1] entry")
+        graph = write_json(tmp_path / "g.json", {"n": 3.0, "edges": [[0, 1, 1], [1, 2.0, 1]]})
+        code, out, _ = run(capsys, ["network", "--graph", graph])
+        assert code == 0 and json.loads(out)["n"] == 3
+
+    def test_generate_product_fractional_dim(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "f.json", {"family": "product", "dims": [2.5, 2]})
+        self.refused(capsys, ["generate", "--family", spec], "product dims entry")
+
     def test_max_k_below_one_is_rejected(self, tmp_path, capsys):
         state = write_json(
             tmp_path / "state.json", state_to_dict(haar_state((2,) * 6, np.random.default_rng(3)))

@@ -73,8 +73,6 @@ class TestTypes:
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             with pytest.raises(ValueError, match="non-finite amplitudes"):
                 PureState((2,), np.array([bad, 1.0]))
-            with pytest.raises(ValueError, match="non-finite amplitudes"):
-                PureState((2,), np.array([bad, 1.0]), check_norm=False)
         st = PureState((2,), np.array([1.0, 0.0]))
         assert st.total_dim == 2
 
@@ -101,6 +99,8 @@ class TestTypes:
     def test_density_matrix_validation(self):
         cases = [
             ("not Hermitian", np.array([[1.0, 0.5], [0.4, 0.0]])),
+            # Within allclose's default rtol, but 1e-6 > 1e-9 apart.
+            ("not Hermitian", np.array([[0.5, 0.3], [0.3 + 1e-6, 0.5]])),
             ("trace", np.eye(2)),
             ("negative eigenvalue", np.diag([1.5, -0.5])),
             ("negative eigenvalue", np.diag([1.0 + 2e-9, -2e-9])),
@@ -133,9 +133,6 @@ class TestDensityValidation:
         ):
             with pytest.raises(ValueError, match="trace"):
                 build()
-        unnormalized = PureState((2, 2), amps * 2.0, check_norm=False)
-        with pytest.raises(ValueError, match="trace"):
-            unnormalized.density()
 
     def test_werner_visibility_outside_unit_interval(self):
         target = haar_state((2, 2), RNG)
@@ -439,8 +436,6 @@ class TestApplyLocalOperator:
         st = haar_state((2, 2), RNG)
         with pytest.raises(ValueError):
             apply_local_operator(st, k, sub([0], 2))
-        out = apply_local_operator(st, k, sub([0], 2), allow_nonunitary=True)
-        assert out.norm < 1.0 + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""State constructors: amplitudes, claimed levels, grouping conventions."""
+"""State constructors: amplitudes, family specs, grouping conventions."""
 
 import math
 
@@ -290,15 +290,14 @@ class TestFamilySpecs:
         fam = family_from_dict(
             {"family": "ghz", "n": 3, "d": 2, "a": [2**-0.5, 2**-0.5]}
         )
-        assert fam.claimed_cge == 1
         st = fam.build()
         assert classify(st).max_cge_level == 1
 
     def test_dicke_family_claims_formula_value(self):
-        # The claim is the classifier's level (the sector count), not the
-        # paper formula, which gives 3 here.
+        # The classifier's level is the sector count, not the paper formula,
+        # which gives 3 here.
         fam = family_from_dict({"family": "dicke", "n": 6, "d": 2, "s": 3})
-        assert fam.claimed_cge == classify(fam.build()).max_cge_level == 2
+        assert classify(fam.build()).max_cge_level == 2
         assert dicke_cge_formula(2, 3) == 3
 
     def test_dicke_level_exact_matches_oracle(self):
@@ -311,11 +310,10 @@ class TestFamilySpecs:
 
     def test_w_family_claim(self):
         fam = family_from_dict({"family": "w_type", "n": 4, "a": [5**-0.5] * 5})
-        assert fam.claimed_cge == 2
+        assert classify(fam.build()).max_cge_level == 2
 
     def test_product_family(self):
         fam = family_from_dict({"family": "product", "dims": [2, 2, 2]})
-        assert fam.claimed_cge == 0
         st = fam.build()
         assert classify(st).max_cge_level == 0
 
@@ -329,8 +327,11 @@ class TestFamilySpecs:
         fam = family_from_dict(
             {"family": "cluster", "edges": [[0, 1, math.pi / 4]]}
         )
-        assert fam.claimed_cge == 1
+        assert classify(fam.build()).max_cge_level == 1
         assert fam.build().dims == (2, 2)
+        k4 = [[i, j, math.pi / 4] for i in range(4) for j in range(i + 1, 4)]
+        fam = family_from_dict({"family": "cluster", "edges": k4})
+        assert classify(fam.build()).max_cge_level == 2
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
