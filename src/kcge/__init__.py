@@ -34,7 +34,6 @@ from .core import (
     schmidt_rank,
     state_from_dict,
     state_to_dict,
-    swap_matrix,
 )
 from .disentangle import (
     BiseparableChannel,
@@ -51,7 +50,6 @@ from .errors import (
     DisentangleRankError,
 )
 from .network import (
-    DegreeProfile,
     NetworkBoundReport,
     NetworkGraph,
     network_bound,
@@ -61,10 +59,7 @@ from .network import (
     cross_check,
     cubic_network,
     cycle_network,
-    degree_profile,
     grid_network,
-    degree_condition_fires,
-    connectivity_bound,
     star_network,
 )
 from .states import (

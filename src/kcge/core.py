@@ -460,15 +460,6 @@ def expand_to_full(op: np.ndarray, parties: Sequence[int], dims: Sequence[int]) 
     return nd.reshape(total, total)
 
 
-def swap_matrix(d: int) -> np.ndarray:
-    """Two-qudit swap: |ij> -> |ji>."""
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
-
-
 def basis_state(dims: Sequence[int], index: int = 0) -> PureState:
     dims = tuple(int(d) for d in dims)
     amps = np.zeros(math.prod(dims), dtype=np.complex128)

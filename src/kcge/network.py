@@ -1,7 +1,8 @@
 """Graph-level bounds on the connection ability of entangled networks.
 
 A network is a multigraph of parties; every edge unit is one shared
-bipartite entangled state. Two bounds are computed: a degree condition that
+bipartite entangled state of some local dimension. Two bounds are
+computed: a degree condition, in exact products of those dimensions, that
 certifies a subset can jointly disentangle one of its parties by
 entanglement swapping, and a chain-connectivity bound from edge-disjoint
 paths. Both read one n x n matrix of edge-unit counts. The greedy subset
@@ -18,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, DIM_BUDGET, PartySubset, Tolerance, _as_int, plain
+from .core import DEFAULT_TOLERANCE, DIM_BUDGET, Tolerance, _as_int, plain
 from .errors import BudgetExceededError
 
 # Largest n x n edge-unit matrix a graph may ask for: 2^18 entries (2 MiB
 # of int64), so n <= 512. The greedy search makes O(n^2) array operations
-# of length n on it, and Stoer-Wagner O(n^2) more.
+# of length n on it, and Stoer-Wagner O(n^2) more. Also the largest total
+# of edge bits, which keeps the degree condition's products below 2^(2^19).
 UNITS_BUDGET = 2**18
 
 
@@ -66,6 +68,14 @@ class NetworkGraph:
         canon = tuple(
             (a, b, mult, dim) for (a, b, dim), mult in sorted(seen.items())
         )
+        bits = 0
+        for count, (_a, _b, mult, dim) in enumerate(canon, start=1):
+            bits += mult * (dim - 1).bit_length()  # ceil(log2 dim) per unit
+            if bits > UNITS_BUDGET:
+                raise BudgetExceededError(
+                    f"network edges: multiplicity x ceil(log2 dim) exceeds budget "
+                    f"{UNITS_BUDGET} (the first {count} edges already give {bits})"
+                )
         object.__setattr__(self, "edges", canon)
 
     def edge_units(self) -> list[tuple[int, int, int]]:
@@ -87,12 +97,24 @@ class NetworkGraph:
         units.flags.writeable = False
         return units
 
+    @functools.cached_property
+    def _local_dims(self) -> tuple[int, ...]:
+        """The distinct local dimensions of the edge units, ascending."""
+        return tuple(sorted({d for *_ends, d in self.edges}))
+
+    @functools.cached_property
+    def _incidence(self) -> list[np.ndarray]:
+        """Per party, one int64 row (neighbour, index into ``_local_dims``,
+        multiplicity) for each edge entry at that party."""
+        index = {d: k for k, d in enumerate(self._local_dims)}
+        ends = np.array([(i, j, index[d], m) for i, j, m, d in self.edges], np.int64)
+        both = np.concatenate([ends, ends[:, [1, 0, 2, 3]]])
+        both = both[np.argsort(both[:, 0], kind="stable")]
+        return np.split(both[:, 1:], np.searchsorted(both[:, 0], np.arange(1, self.n)))
+
     def degree(self, party: int) -> int:
         """Connectedness degree: number of edge units incident to ``party``."""
         return int(self.units[party].sum())
-
-    def units_between(self, a: int, b: int) -> int:
-        return int(self.units[a, b])
 
     to_dict = plain
 
@@ -101,40 +123,6 @@ class NetworkGraph:
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise ValueError("network JSON must be an object with 'n' and 'edges'")
         return cls(obj["n"], tuple(tuple(e) for e in obj["edges"]))
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Edge-unit counts of one party relative to a subset: units into the
-    rest of the subset (s_in), units leaving the subset (s_out), and units
-    between two other subset members (t)."""
-
-    subset: PartySubset
-    party: int
-    s_in: int
-    s_out: int
-    t: int
-
-
-def degree_profile(g: NetworkGraph, subset: PartySubset, party: int) -> DegreeProfile:
-    if party not in subset.members:
-        raise ValueError(f"party {party} is not in subset {subset.members}")
-    members = list(subset.members)
-    s_in = int(g.units[party, members].sum())
-    # The members' block counts every inner unit twice: the party's s_in
-    # units and the t units between the other members.
-    t = int(g.units[np.ix_(members, members)].sum()) // 2 - s_in
-    return DegreeProfile(subset, party, s_in, g.degree(party) - s_in, t)
-
-
-def degree_condition_fires(profile: DegreeProfile) -> bool:
-    """Degree condition s_in + 2t >= s_out.
-
-    When it holds for some party of a size-b subset, the subset can swap all
-    of that party's outside entanglement into other members, so the joint
-    network state is b-connection biseparable (not b-CGE).
-    """
-    return profile.s_in + 2 * profile.t >= profile.s_out
 
 
 def chain_connectivity(g: NetworkGraph) -> int:
@@ -172,21 +160,12 @@ def connectivity_biseparable_size(c: int) -> int:
     return math.ceil((c + 1) / 2)
 
 
-def connectivity_bound(g: NetworkGraph) -> int:
-    """Connection-level upper bound from chain connectivity,
-    connectivity_biseparable_size(c) - 1 floored at 0.
-
-    Only informative for c >= 2; for c <= 1 the bound degenerates and is
-    flagged in the report rather than applied. It also contradicts the
-    known level of complete networks, so `network_bound` reports it alongside
-    the degree-condition bound without folding it in.
-    """
-    c = chain_connectivity(g)
-    return max(connectivity_biseparable_size(c) - 1, 0)
-
-
 @dataclass(frozen=True)
 class SizeCheck:
+    """The seed's edge units into the rest of the subset (s_in) and out of
+    it (s_out), the units between two other members (t), whatever their
+    local dims, and whether the degree condition fires (``_degree_check``)."""
+
     size: int
     s_in: int
     s_out: int
@@ -226,47 +205,70 @@ class NetworkBoundReport:
     to_dict = plain
 
 
+def _degree_check(g: NetworkGraph, members: list[int]) -> SizeCheck:
+    """The degree condition for the seed ``members[0]`` of subset S.
+
+    With maximally entangled edges, rank(S) is the product of the local dims
+    of the units crossing S, and dim(S)/d_seed the product over the seed's
+    units inside S, the units between two other members (squared) and the
+    other members' units leaving S. So S frees the seed, rank(S) <=
+    dim(S)/d_seed <= dim(S)/min_S d, exactly when prod_out d <= prod_in d *
+    (prod_t d)^2; other edge states only lower rank(S). The exponent of each
+    local dim d in the ratio is e_d = out_d - in_d - 2 t_d: the seed's dim-d
+    degree less the dim-d units inside S counted from both ends. Signs
+    decide unless they are mixed, which needs exact products. For one local
+    dim the condition is s_in + 2t >= s_out.
+    """
+    seed = members[0]
+    block = g.units[np.ix_(members, members)]
+    s_in = int(block[0].sum())
+    inner = int(block.sum())  # every unit inside S, counted from both ends
+    degree = g.degree(seed)
+    dims = g._local_dims
+    if len(dims) <= 1:
+        excess = [degree - inner]
+    else:
+        rows = np.concatenate([g._incidence[m] for m in members])
+        rows = rows[np.isin(rows[:, 0], members)]
+        seed_rows = g._incidence[seed]
+        excess = (
+            np.bincount(seed_rows[:, 1], seed_rows[:, 2], len(dims))
+            - np.bincount(rows[:, 1], rows[:, 2], len(dims))
+        ).astype(np.int64).tolist()
+    if min(excess) < 0 < max(excess):
+        fires = math.prod(d**e for d, e in zip(dims, excess) if e > 0) <= math.prod(
+            d**-e for d, e in zip(dims, excess) if e < 0
+        )
+    else:
+        fires = max(excess) <= 0
+    return SizeCheck(len(members), s_in, degree - s_in, inner // 2 - s_in, fires)
+
+
 def _grow_from_seed(g: NetworkGraph, seed: int) -> SeedTrace:
     degree = g.degree(seed)
     # Size budget: the greedy subset may grow to floor((degree + 1) / 2) + 1
     # parties including the seed.
     max_size = min((degree + 1) // 2 + 1, g.n)
     members = [seed]
-    growth: list[int] = []
-    checks: list[SizeCheck] = []
-    first_fire: int | None = None
-    while True:
-        subset = PartySubset.of(members, g.n)
-        prof = degree_profile(g, subset, seed)
-        fired = degree_condition_fires(prof)
-        checks.append(
-            SizeCheck(len(members), prof.s_in, prof.s_out, prof.t, fired)
-        )
-        if fired:
-            first_fire = len(members)
-            break
-        if len(members) >= max_size:
-            break
+    checks = [_degree_check(g, members)]
+    while not checks[-1].fires and len(members) < max_size:
         shared = g.units[members].sum(axis=0)
         shared[members] = -1
         # Most shared edge units first, lowest index on ties (argmax takes
         # the first maximum).
-        nxt = int(np.argmax(shared))
-        members.append(nxt)
-        growth.append(nxt)
-    if first_fire is not None:
-        level_bound = min(degree, first_fire - 1)
-    else:
-        # A party can always be disentangled by cooperating with all of its
-        # neighbors, so its degree caps the level regardless.
-        level_bound = degree
+        members.append(int(np.argmax(shared)))
+        checks.append(_degree_check(g, members))
+    first_fire = len(members) if checks[-1].fires else None
+    # A party can always be disentangled by cooperating with all of its
+    # neighbors, so its degree caps the level regardless.
+    level_bound = degree if first_fire is None else min(degree, first_fire - 1)
     return SeedTrace(
         seed=seed,
         degree=degree,
-        growth=tuple(growth),
+        growth=tuple(members[1:]),
         checks=tuple(checks),
         first_firing_size=first_fire,
-        level_bound=max(level_bound, 0),
+        level_bound=level_bound,
     )
 
 
@@ -276,11 +278,14 @@ def network_bound(g: NetworkGraph) -> NetworkBoundReport:
     For every party of minimal degree, grow a subset one party at a time,
     always adding the outside party sharing the most edge units with the
     current subset (ties to the lowest index), and evaluate the degree
-    condition for the seed at each size. A firing at size b certifies the
-    joint state is b-connection biseparable, so the level is at most b - 1;
-    the seed's degree and floor(n/2) cap the level as well. The chain
+    condition for the seed at each size, in exact products of the units'
+    local dims (``_degree_check``). A firing at size b certifies the joint
+    state is b-connection biseparable, so the level is at most b - 1; the
+    seed's degree and floor(n/2) cap the level as well. The chain
     connectivity bound is reported alongside but never folded into the
     returned upper bound (it is known to disagree with complete networks).
+    ``NetworkGraph`` has already refused a graph over ``UNITS_BUDGET``
+    (parties squared, or edge bits: multiplicity x ceil(log2 dim)).
     """
     if g.n < 2:
         raise ValueError("need at least two parties")
@@ -299,7 +304,7 @@ def network_bound(g: NetworkGraph) -> NetworkBoundReport:
         connectivity_biseparable_size=bisep,
         connectivity_applies=c >= 2,
         connectivity_level_bound=max(bisep - 1, 0),
-        cge_upper_bound=max(bound, 0),
+        cge_upper_bound=bound,
         trace=traces,
     )
 

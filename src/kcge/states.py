@@ -50,6 +50,7 @@ def ghz(n: int, d: int, a: Sequence[float], budget: int = DIM_BUDGET) -> PureSta
     Requires n >= 2 parties, local dimension d >= 2, and a normalized
     coefficient vector of length d.
     """
+    n, d = _as_int(n, "ghz n"), _as_int(d, "ghz d")
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     a, ssq = checked_coefficients(a, d)
@@ -68,6 +69,7 @@ def w_type(n: int, a: Sequence[float], budget: int = DIM_BUDGET) -> PureState:
     |1_i> puts the excitation at party i, so the coefficient list has n + 1
     entries.
     """
+    n = _as_int(n, "w_type n")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     a, ssq = checked_coefficients(a, n + 1)
@@ -97,6 +99,7 @@ def excitation_count(n: int, d: int, s: int) -> int:
 def dicke(n: int, d: int, s: int, budget: int = DIM_BUDGET) -> PureState:
     """n-qudit Dicke state with s total excitations: equal weight on every
     basis vector whose digits sum to s."""
+    n, d, s = _as_int(n, "dicke n"), _as_int(d, "dicke d"), _as_int(s, "dicke s")
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     if not 0 <= s <= (d - 1) * n:
@@ -275,10 +278,13 @@ def graph_from_epr_ghz(
     hyperedges = [((i, j), theta) for i, j, theta in epr_edges] + list(ghz_hyperedges)
     if not hyperedges:
         raise ValueError("need at least one edge or hyperedge")
+    hyperedges = [
+        (tuple(_as_int(p, "party index") for p in members), theta)
+        for members, theta in hyperedges
+    ]
     n = max(p for members, _ in hyperedges for p in members) + 1
     factors = []
     for members, theta in hyperedges:
-        members = tuple(int(p) for p in members)
         if len(members) < 2:
             raise ValueError(f"hyperedge needs at least two parties, got {members}")
         _check_angle(theta)
@@ -289,7 +295,8 @@ def graph_from_epr_ghz(
     nd, party_axes, party_dims = _assemble(n, factors, budget, "graph_from_epr_ghz")
     nd = np.ascontiguousarray(nd)
     for party, slot_ids, angle in joint_phases:
-        axes = [party_axes[party][s] for s in slot_ids]
+        slots = party_axes[_as_int(party, "phase party")]
+        axes = [slots[_as_int(s, "phase slot")] for s in slot_ids]
         if len(set(axes)) != len(axes):
             raise ValueError("joint phase slots must be distinct")
         _phase_on_axes(nd, axes, angle)

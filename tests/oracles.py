@@ -216,3 +216,27 @@ def min_pair_connectivity(n, units):
             value = edge_disjoint_paths(n, units, a, b)
             best = value if best is None else min(best, value)
     return best or 0
+
+
+def crossing_rank_level(n, edges):
+    """Connection level of a network whose edge units are maximally
+    entangled, from the graph alone; ``edges`` lists (i, j, multiplicity,
+    dim). The joint state is a product of one rank-d factor per unit, so
+    the Schmidt rank across a party subset S is the product of the dims of
+    the units with exactly one end in S. A party's dimension is the product
+    of the dims of its units, and S fails level |S| when its rank is at
+    most dim(S)/min_S d."""
+    units = [(i, j, d) for i, j, mult, d in edges for _ in range(mult)]
+    dims = [1] * n
+    for i, j, d in units:
+        dims[i] *= d
+        dims[j] *= d
+    level = 0
+    for k in range(1, n // 2 + 1):
+        for subset in combinations(range(n), k):
+            rank = math.prod(d for i, j, d in units if (i in subset) != (j in subset))
+            threshold = math.prod(dims[p] for p in subset) // min(dims[p] for p in subset)
+            if rank <= threshold:
+                return level
+        level = k
+    return level

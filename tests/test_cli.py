@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from kcge import (
     PartySubset,
@@ -538,6 +539,22 @@ class TestNetworkCommands:
         assert code == 3
         assert out == ""
         assert "network_joint_state: total dimension exceeds budget" in err
+        wide_edges = write_json(tmp_path / "bits.json", {"n": 2, "edges": [[0, 1, 10**5, 9]]})
+        for command in ("network", "cross-check"):
+            code, out, err = run(capsys, [command, "--graph", wide_edges])
+            assert code == 3
+            assert out == ""
+            assert "exceeds budget 262144 (the first 1 edges already give 400000)" in err
+
+    def test_mixed_dimension_k4_is_consistent(self, tmp_path, capsys):
+        edges = [[0, 1, 1, 2], [0, 2, 1, 3], [0, 3, 2, 2], [1, 2, 2, 2], [1, 3, 1, 3], [2, 3, 1, 2]]
+        graph = write_json(tmp_path / "g.json", {"n": 4, "edges": edges})
+        code, out, _ = run(capsys, ["cross-check", "--graph", graph, "--budget-dim", "524288"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["classifier_level"] == 2
+        assert record["network_bound"]["cge_upper_bound"] == 2
+        assert record["consistent"] is True
 
 
 class TestExitCodes:
@@ -647,6 +664,41 @@ class TestExitCodes:
         graph = write_json(tmp_path / "g.json", {"n": 3.0, "edges": [[0, 1, 1], [1, 2.0, 1]]})
         code, out, _ = run(capsys, ["network", "--graph", graph])
         assert code == 0 and json.loads(out)["n"] == 3
+
+    # (field name in the refusal, its integer value, the spec around it)
+    FAMILY_INTEGERS = [
+        ("ghz n", 3, lambda v: {"family": "ghz", "n": v, "d": 2, "a": [2**-0.5] * 2}),
+        ("ghz d", 2, lambda v: {"family": "ghz", "n": 3, "d": v, "a": [2**-0.5] * 2}),
+        ("w_type n", 3, lambda v: {"family": "w_type", "n": v, "a": [0.5] * 4}),
+        ("dicke n", 4, lambda v: {"family": "dicke", "n": v, "d": 2, "s": 2}),
+        ("dicke d", 2, lambda v: {"family": "dicke", "n": 4, "d": v, "s": 2}),
+        ("dicke s", 2, lambda v: {"family": "dicke", "n": 4, "d": 2, "s": v}),
+        ("party index", 1, lambda v: {"family": "cluster", "edges": [[0, 1, 0.6], [v, 2, 0.7]]}),
+        ("phase party", 1, lambda v: {
+            "family": "cluster", "edges": [[0, 1, 0.6], [1, 2, 0.7]], "phases": [[v, 0, 1, 0.3]]}),
+        ("party index", 2, lambda v: {
+            "family": "graph", "epr_edges": [[0, 1, 0.6]], "ghz_edges": [[[0, 1, v], 0.7]]}),
+        ("phase slot", 1, lambda v: {
+            "family": "graph", "epr_edges": [[0, 1, 0.6]], "ghz_edges": [[[0, 1, 2], 0.7]],
+            "phases": [[1, [0, v], 0.3]]}),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, value, spec", FAMILY_INTEGERS,
+        ids=[f"{spec(0)['family']}-{name.split()[-1]}" for name, _v, spec in FAMILY_INTEGERS],
+    )
+    def test_family_integer_field(self, tmp_path, capsys, name, value, spec):
+        def generate(v):
+            return run(capsys, ["generate", "--family", write_json(tmp_path / "f.json", spec(v))])
+
+        code, expected, _ = generate(value)
+        assert code == 0
+        assert generate(float(value)) == (0, expected, "")
+        self.refused(
+            capsys,
+            ["generate", "--family", write_json(tmp_path / "f.json", spec(value + 0.5))],
+            f"{name} must be an integer, got {value + 0.5}",
+        )
 
     def test_generate_product_fractional_dim(self, tmp_path, capsys):
         spec = write_json(tmp_path / "f.json", {"family": "product", "dims": [2.5, 2]})

@@ -23,7 +23,6 @@ from kcge import (
     schmidt_rank,
     state_from_dict,
     state_to_dict,
-    swap_matrix,
 )
 from kcge.core import FULL_RANK_MARGIN, basis_change_unitary, complete_basis, guard_total_dim
 from kcge.disentangle import (
@@ -452,12 +451,14 @@ class TestOperatorTools:
 
     def test_expand_unordered_parties(self):
         dims = (2, 2)
-        ours = expand_to_full(swap_matrix(2), [1, 0], dims)
-        theirs = permutation_embed(swap_matrix(2), [1, 0], dims)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        ours = expand_to_full(swap, [1, 0], dims)
+        theirs = permutation_embed(swap, [1, 0], dims)
         assert np.allclose(ours, theirs, atol=1e-12)
 
     def test_swap_matrix(self):
-        s = swap_matrix(3)
+        # Row 3i + j of the two-qutrit swap is basis vector 3j + i.
+        s = np.eye(9)[np.arange(9).reshape(3, 3).T.reshape(-1)]
         st = haar_state((3, 3), RNG)
         swapped = apply_local_operator(st, s, sub([0, 1], 2))
         assert np.allclose(swapped.as_tensor(), st.as_tensor().T)

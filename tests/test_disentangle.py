@@ -25,7 +25,6 @@ from kcge import (
     partial_trace,
     schmidt,
     schmidt_rank,
-    swap_matrix,
     two_depth_decompose,
     w_type,
 )
@@ -348,7 +347,7 @@ class TestChannels:
         )
         assert apply_k_connection_channel(rho, ident).allclose(rho)
         # Swap the two qubits held by party 1 (a unitary inside the cut).
-        swap01 = expand_to_full(swap_matrix(2), [1, 2], (2, 2, 2))
+        swap01 = expand_to_full(np.eye(4)[[0, 2, 1, 3]], [1, 2], (2, 2, 2))
         ch = KConnectionChannel(cut, ((swap01, (np.eye(dims[2]),)),))
         out = apply_k_connection_channel(rho, ch)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12

@@ -1,6 +1,8 @@
-"""Graph-level bounds: degree profiles, connectivity, greedy search."""
+"""Graph-level bounds: degree checks, connectivity, greedy search."""
 
 import dataclasses
+import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,6 @@ import numpy as np
 import pytest
 
 from kcge import (
-    PartySubset,
     network_bound,
     chain_connectivity,
     chain_network,
@@ -18,24 +19,21 @@ from kcge import (
     cross_check,
     cubic_network,
     cycle_network,
-    degree_profile,
     grid_network,
-    degree_condition_fires,
-    connectivity_bound,
     network_joint_state,
     star_network,
 )
 import kcge.network as network_module
 from kcge.errors import BudgetExceededError
-from kcge.network import NetworkGraph, connectivity_biseparable_size
+from kcge.network import NetworkGraph, _degree_check, connectivity_biseparable_size
 
-from oracles import min_pair_connectivity
+from oracles import crossing_rank_level, min_pair_connectivity
 
 RNG = np.random.default_rng(55)
 
 
-def sub(members, n):
-    return PartySubset.of(members, n)
+def counts(check):
+    return (check.s_in, check.s_out, check.t)
 
 
 def test_import_does_not_load_networkx():
@@ -60,13 +58,13 @@ class TestNetworkGraph:
         g = NetworkGraph(3, ((1, 0, 1), (0, 1, 2)))
         assert g.edges == ((0, 1, 3, 2),)
         assert g.degree(0) == 3
-        assert g.units_between(1, 0) == 3
+        assert g.units[1, 0] == 3
         # Entries of different local dims stay apart; the unit matrix sums them.
         g = NetworkGraph(3, ((0, 1, 2, 2), (1, 0, 1, 3), (1, 2, 1, 3)))
         assert g.edges == ((0, 1, 2, 2), (0, 1, 1, 3), (1, 2, 1, 3))
         assert g.units.tolist() == [[0, 3, 0], [3, 0, 1], [0, 1, 0]]
         assert not g.units.flags.writeable
-        assert (g.degree(0), g.degree(1), g.units_between(1, 0)) == (3, 4, 3)
+        assert (g.degree(0), g.degree(1), g.units[1, 0]) == (3, 4, 3)
 
     def test_party_count_is_refused_before_the_unit_matrix(self, monkeypatch):
         def untouched(*_args):
@@ -81,6 +79,22 @@ class TestNetworkGraph:
                 NetworkGraph(n, ((0, 1, 1),))
         NetworkGraph(side, ((0, side - 1, 1),))
 
+    def test_edge_bits_are_refused_before_the_unit_matrix(self, monkeypatch):
+        def untouched(*_args):
+            raise AssertionError("refusal must come before the unit matrix")
+
+        monkeypatch.setattr(NetworkGraph, "units", property(untouched))
+        budget = network_module.UNITS_BUDGET
+        # Multiplicity x ceil(log2 dim), summed: 2 (budget/2 - 17) + 2 x 17
+        # is the budget, and one more bit per unit of the second edge is over.
+        NetworkGraph(3, ((0, 1, budget // 2 - 17, 3), (1, 2, 2, 2**17)))
+        msg = f"exceeds budget {budget} \\(the first 2 edges already give {budget + 2}\\)"
+        with pytest.raises(BudgetExceededError, match=msg):
+            NetworkGraph(3, ((0, 1, budget // 2 - 17, 3), (1, 2, 2, 2**17 + 1)))
+        with pytest.raises(BudgetExceededError, match="the first 1 edges"):
+            NetworkGraph(2, ((0, 1, 10**9),))
+        NetworkGraph(2, ((0, 1, 200000),))
+
     def test_edge_units_expand_multiplicity(self):
         g = NetworkGraph(3, ((0, 1, 2), (1, 2, 1)))
         assert g.edge_units() == [(0, 1, 2), (0, 1, 2), (1, 2, 2)]
@@ -92,67 +106,117 @@ class TestNetworkGraph:
 
 
 class TestDegreeProfile:
+    """The unit counts that a degree check records; the seed comes first."""
+
     def test_complete_four(self):
-        g = complete_network(4)
-        p = degree_profile(g, sub([0, 1, 2], 4), 0)
-        assert (p.s_in, p.s_out, p.t) == (2, 1, 1)
+        check = _degree_check(complete_network(4), [0, 1, 2])
+        assert (check.size, *counts(check)) == (3, 2, 1, 1)
 
     def test_chain_prefix(self):
-        g = chain_network(4)
-        p = degree_profile(g, sub([0, 1], 4), 0)
-        assert (p.s_in, p.s_out, p.t) == (1, 0, 0)
+        assert counts(_degree_check(chain_network(4), [0, 1])) == (1, 0, 0)
 
     def test_singleton_subset(self):
         g = star_network(5)
-        p = degree_profile(g, sub([0], 5), 0)
-        assert (p.s_in, p.t) == (0, 0)
-        assert p.s_out == g.degree(0) == 4
-
-    def test_party_must_be_inside(self):
-        with pytest.raises(ValueError):
-            degree_profile(chain_network(3), sub([0, 1], 3), 2)
+        check = _degree_check(g, [0])
+        assert (check.s_in, check.t) == (0, 0)
+        assert check.s_out == g.degree(0) == 4
 
     def test_counts_match_independent_rescan(self):
-        g = NetworkGraph(5, ((0, 1, 2), (1, 2, 1), (0, 3, 1), (3, 4, 2), (1, 4, 1)))
-        subset = sub([0, 1, 4], 5)
-        for party in subset.members:
-            p = degree_profile(g, subset, party)
+        # Mixed local dims: the counts ignore them.
+        g = NetworkGraph(5, ((0, 1, 2), (1, 2, 1, 3), (0, 3, 1), (3, 4, 2), (1, 4, 1, 3)))
+        members = [0, 1, 4]
+        for party in members:
             s_in = s_out = t = 0
             for i, j, dim in g.edge_units():
                 touches = party in (i, j)
-                inside_i, inside_j = i in subset.members, j in subset.members
+                inside_i, inside_j = i in members, j in members
                 if touches:
-                    other_in = (j if i == party else i) in subset.members
+                    other_in = (j if i == party else i) in members
                     s_in += int(other_in)
                     s_out += int(not other_in)
                 elif inside_i and inside_j:
                     t += 1
-            assert (p.s_in, p.s_out, p.t) == (s_in, s_out, t)
+            order = [party] + [m for m in members if m != party]
+            assert counts(_degree_check(g, order)) == (s_in, s_out, t)
+
+
+def weighted_rule(g, members):
+    """The degree condition by direct products over the expanded edge
+    units: the seed's outside dims against its inside dims times the
+    squared dims between two other members."""
+    seed, inside = members[0], set(members)
+    out = into = between = 1
+    for i, j, d in g.edge_units():
+        if seed in (i, j):
+            other = j if i == seed else i
+            if other in inside:
+                into *= d
+            else:
+                out *= d
+        elif i in inside and j in inside:
+            between *= d * d
+    return out <= into * between
 
 
 class TestDegreeCondition:
     def test_chain_pair_fires(self):
-        p = degree_profile(chain_network(4), sub([0, 1], 4), 0)
-        assert degree_condition_fires(p)
+        assert _degree_check(chain_network(4), [0, 1]).fires
 
     def test_complete_triple_fires(self):
-        p = degree_profile(complete_network(4), sub([0, 1, 2], 4), 0)
-        assert degree_condition_fires(p)
+        assert _degree_check(complete_network(4), [0, 1, 2]).fires
 
     def test_isolated_party_with_out_edges_does_not_fire(self):
-        p = degree_profile(star_network(4), sub([0], 4), 0)
-        assert not degree_condition_fires(p)
+        assert not _degree_check(star_network(4), [0]).fires
 
     def test_adding_inner_edge_never_unfires(self):
         g = NetworkGraph(4, ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)))
-        subset = sub([0, 1, 2], 4)
-        base = degree_profile(g, subset, 0)
-        assert degree_condition_fires(base)
-        for extra in ((0, 1, 1), (1, 2, 1)):
-            grown = NetworkGraph(4, g.edges + (extra,))
-            p = degree_profile(grown, subset, 0)
-            assert p.s_in >= base.s_in and p.t >= base.t
-            assert degree_condition_fires(p)
+        members = [0, 1, 2]
+        base = _degree_check(g, members)
+        assert base.fires
+        for extra in ((0, 1, 1), (1, 2, 1), (0, 1, 1, 3), (1, 2, 2, 5)):
+            check = _degree_check(NetworkGraph(4, g.edges + (extra,)), members)
+            assert check.s_in >= base.s_in and check.t >= base.t
+            assert check.fires
+
+    def test_local_dims_weigh_in_exactly(self):
+        # Seed 0 of the K4 below has two inside qubit units (product 4)
+        # against outside units of dims 2 and 3 (product 6): equal unit
+        # counts, but no firing. Ties fire: 2 * 2 <= 4.
+        k4 = NetworkGraph(4, ((0, 1, 1, 2), (0, 2, 1, 3), (0, 3, 2, 2), (1, 2, 2, 2), (1, 3, 1, 3), (2, 3, 1, 2)))
+        check = _degree_check(k4, [0, 3])
+        assert counts(check) == (2, 2, 0) and not check.fires
+        tie = NetworkGraph(3, ((0, 1, 1, 4), (0, 2, 2, 2)))
+        assert counts(_degree_check(tie, [0, 1])) == (1, 2, 0)
+        assert _degree_check(tie, [0, 1]).fires
+        # Mixed signs, decided by the products alone: 3^3 = 27 outside
+        # against 5^2 = 25 inside, then against 5^2 * 2^2 = 100.
+        g = NetworkGraph(4, ((0, 1, 2, 5), (0, 2, 3, 3), (1, 3, 1, 2)))
+        assert not _degree_check(g, [0, 1]).fires
+        assert _degree_check(g, [0, 1, 3]).fires
+
+    def test_matches_direct_products_on_random_graphs(self):
+        rng = np.random.default_rng(57)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            edges = [
+                (i, j, int(rng.integers(1, 3)), int(rng.choice([2, 3, 4, 5, 7])))
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.6
+            ]
+            g = NetworkGraph(n, tuple(edges))
+            members = [int(p) for p in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+            assert _degree_check(g, members).fires == weighted_rule(g, members)
+
+    def test_huge_dims_and_multiplicities_stay_exact(self):
+        # Products far beyond float range: 2^95097 < 3^60000 < 2^95098.
+        for out, fires in ((95097, True), (95098, False)):
+            g = NetworkGraph(3, ((0, 1, 60000, 3), (0, 2, out, 2)))
+            assert _degree_check(g, [0, 1]).fires is fires
+        # One unit of dim 2^3000 inside against 3000 or 3001 qubits outside.
+        for out, fires in ((3000, True), (3001, False)):
+            g = NetworkGraph(3, ((0, 1, 1, 2**3000), (0, 2, out, 2)))
+            assert _degree_check(g, [0, 1]).fires is fires
 
 
 class TestConnectivity:
@@ -205,7 +269,7 @@ class TestConnectivity:
             assert value == min_pair_connectivity(n, g.edge_units())
             for i, j in pairs:
                 count = sum(1 for a, b, _d in g.edge_units() if (a, b) == (i, j))
-                assert g.units_between(i, j) == g.units_between(j, i) == count
+                assert g.units[i, j] == g.units[j, i] == count
             seen_zero += value == 0 and n > 1
             seen_positive += value > 0
             seen_mixed += len(g.edges) > len({(i, j) for i, j, _m, _d in g.edges})
@@ -219,7 +283,7 @@ class TestConnectivityBound:
         g = complete_network(5)
         assert chain_connectivity(g) == 4
         assert connectivity_biseparable_size(4) == 3
-        assert connectivity_bound(g) == 2
+        assert network_bound(g).connectivity_level_bound == 2
 
     def test_chain_is_flagged_not_applied(self):
         report = network_bound(chain_network(4))
@@ -280,13 +344,8 @@ class TestNetworkBound:
         for tr in a.trace:
             members = [tr.seed]
             for check, nxt in zip(tr.checks, list(tr.growth) + [None]):
-                prof = degree_profile(g, sub(members, g.n), tr.seed)
-                assert (prof.s_in, prof.s_out, prof.t) == (
-                    check.s_in,
-                    check.s_out,
-                    check.t,
-                )
-                assert degree_condition_fires(prof) == check.fires
+                assert _degree_check(g, members) == check
+                assert weighted_rule(g, members) == check.fires
                 if nxt is not None and check is not tr.checks[-1]:
                     members.append(nxt)
 
@@ -361,3 +420,51 @@ class TestCrossCheck:
         d = cross_check(chain_network(3)).to_dict()
         assert d["classifier_level"] == 1
         assert d["consistent"] is True
+
+
+K4_MIXED = NetworkGraph(
+    4, ((0, 1, 1, 2), (0, 2, 1, 3), (0, 3, 2, 2), (1, 2, 2, 2), (1, 3, 1, 3), (2, 3, 1, 2))
+)
+
+
+def four_party_labellings():
+    """Every 4-party graph with each pair carrying nothing, one qubit unit,
+    one qutrit unit or two qubit units, and every party touched."""
+    pairs = list(itertools.combinations(range(4), 2))
+    for labels in itertools.product((None, (1, 2), (1, 3), (2, 2)), repeat=len(pairs)):
+        edges = tuple((i, j, *lab) for (i, j), lab in zip(pairs, labels) if lab)
+        if {p for e in edges for p in e[:2]} == set(range(4)):
+            yield edges
+
+
+class TestMixedDimensions:
+    def test_k4_bound_holds_the_classifier_level(self):
+        # Unit counts alone fire seed 0 with party 3 at size 2 and bound
+        # the level by 1; the dims (2 * 2 inside, 2 * 3 outside) do not.
+        rec = cross_check(K4_MIXED, budget=2**19)
+        assert (rec.classifier_level, rec.report.cge_upper_bound, rec.consistent) == (2, 2, True)
+        assert crossing_rank_level(4, K4_MIXED.edges) == 2
+
+    def test_bound_is_sound_on_every_labelling(self):
+        # A recorded count: the bound equals the exact level on 3489 of the
+        # 3861 labellings and is above it on the rest. Counting units
+        # without their dims put the bound below the level on 133.
+        total = tight = 0
+        for edges in four_party_labellings():
+            level = crossing_rank_level(4, edges)
+            bound = network_bound(NetworkGraph(4, edges)).cge_upper_bound
+            assert bound >= level, edges
+            total += 1
+            tight += bound == level
+        assert (total, tight) == (3861, 3489)
+
+    def test_dense_classifier_agrees_with_the_oracle(self):
+        count = 0
+        for edges in four_party_labellings():
+            if math.prod(d ** (2 * mult) for *_ends, mult, d in edges) > 2**12:
+                continue
+            rec = cross_check(NetworkGraph(4, edges))
+            assert rec.classifier_level == crossing_rank_level(4, edges), edges
+            assert rec.consistent, edges
+            count += 1
+        assert count == 1081
