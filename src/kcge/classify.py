@@ -30,6 +30,13 @@ the top level K first at cutoff T (2c + 1e-12), where the 2 and the 1e-12
 absorb SVD round-off: a pass there passes every level at cutoff c without
 a scan. Otherwise it scans upward from level 1 at cutoff c.
 
+A subset only asks whether its rank exceeds its threshold t, so
+``is_k_cge`` calls ``schmidt_rank`` with ``cap=t + 1``. A pass, in the
+probe or in the upward scan, is then certified by a shifted Cholesky
+factorization of the Gram matrix of t + 1 rows of the cut's matrix, about
+1/d of its short side, and a failing subset still gets its exact rank as
+``witness_rank`` (proof in the ``schmidt_rank`` docstring).
+
 A state fixed by every party permutation needs one subset per level. The
 swap (0 1) and the cycle (0 1 ... n-1) generate S_n, so when all dims are
 equal and the amplitude tensor equals its transpose under both, byte for
@@ -166,9 +173,10 @@ def is_k_cge(
 ) -> LevelVerdict:
     """Verdict for one level: True when every size-k subset has rank above
     its threshold; otherwise the lexicographically first failing subset is
-    the witness. Valid levels are 1 <= k <= floor(n/2)."""
+    the witness, with its exact rank. Each rank is capped at threshold + 1,
+    which decides the comparison. Valid levels are 1 <= k <= floor(n/2)."""
     for members, threshold in level_subsets(state, k, budget_dim):
-        rank = schmidt_rank(state, PartySubset(members, state.n), tol)
+        rank = schmidt_rank(state, PartySubset(members, state.n), tol, cap=threshold + 1)
         if rank <= threshold:
             return LevelVerdict(k, False, members, rank, threshold)
     return LevelVerdict(k, True)

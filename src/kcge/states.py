@@ -260,6 +260,15 @@ def cluster_from_epr(
     return graph_from_epr_ghz(edges, (), joint_phases, budget=budget)
 
 
+def _index_below(value, size: int, name: str) -> int:
+    """``value`` as an index in [0, size); anything else raises ValueError
+    naming ``name`` and the range."""
+    index = _as_int(value, name)
+    if not 0 <= index < size:
+        raise ValueError(f"{name} {index} out of range [0, {size})")
+    return index
+
+
 def graph_from_epr_ghz(
     epr_edges: Sequence[tuple[int, int, float]],
     ghz_hyperedges: Sequence[tuple[Sequence[int], float]] = (),
@@ -271,8 +280,8 @@ def graph_from_epr_ghz(
     A hyperedge (members, theta) places one qubit at each member party and
     contributes cos(theta)|0...0> + sin(theta)|1...1>. ``joint_phases``
     lists (party, slots, angle) diagonal operations that phase the
-    |1...1> block of the chosen local qubits. Party dims become
-    2^(incident factor count).
+    |1...1> block of the chosen local qubits; a party or slot out of range
+    raises ValueError. Party dims become 2^(incident factor count).
     """
     # An EPR edge is the two-party hyperedge.
     hyperedges = [((i, j), theta) for i, j, theta in epr_edges] + list(ghz_hyperedges)
@@ -295,8 +304,8 @@ def graph_from_epr_ghz(
     nd, party_axes, party_dims = _assemble(n, factors, budget, "graph_from_epr_ghz")
     nd = np.ascontiguousarray(nd)
     for party, slot_ids, angle in joint_phases:
-        slots = party_axes[_as_int(party, "phase party")]
-        axes = [slots[_as_int(s, "phase slot")] for s in slot_ids]
+        slots = party_axes[_index_below(party, n, "phase party")]
+        axes = [slots[_index_below(s, len(slots), "phase slot")] for s in slot_ids]
         if len(set(axes)) != len(axes):
             raise ValueError("joint phase slots must be distinct")
         _phase_on_axes(nd, axes, angle)

@@ -92,6 +92,41 @@ def upward_levels(st, max_k=None, tol=Tolerance()):
     return tuple(out)
 
 
+def certificate_corpus(rng):
+    """(state, tolerance) pairs around the rank certificate: Haar states with
+    uniform and mixed dims, a planted product, W, GHZ, Dicke and network
+    states, and GHZ plus Haar admixtures at 0.5 to 2 times the rank cutoff
+    and FULL_RANK_MARGIN."""
+    default = Tolerance()
+    corpus = [
+        (haar_state(dims, rng), default)
+        for dims in [(2,) * 6, (2,) * 7, (3,) * 4, (2, 3) * 3, (2, 2, 3, 4), (3, 2, 2, 3, 2)]
+    ]
+    corpus += [(planted_product((2, 3) * 3, 2, rng), default), (random_w4(rng), default)]
+    corpus += [
+        (st, default)
+        for st in [
+            ghz(5, 2, [2**-0.5] * 2),
+            ghz(4, 3, [3**-0.5] * 3),
+            w_type(5, [6**-0.5] * 6),
+            dicke(6, 2, 3),
+            dicke(5, 3, 4),
+            network_joint_state(complete_network(4)),
+            network_joint_state(chain_network(4)),
+            network_joint_state(star_network(5)),
+        ]
+    ]
+    for scale, tol in [(c, Tolerance(rank_cutoff=c)) for c in (1e-9, 1e-6, 1e-2)] + [
+        (FULL_RANK_MARGIN, default)
+    ]:
+        for m in (4, 5, 6):
+            for factor in (0.5, 0.9, 1.1, 2.0):
+                amps = ghz(m, 2, [2**-0.5] * 2).amps
+                amps = amps + factor * scale * haar_state((2,) * m, rng).amps
+                corpus.append((PureState((2,) * m, amps / np.linalg.norm(amps)), tol))
+    return corpus
+
+
 def branch_state(x, y, eps, party):
     """|0>_party x + eps |1>_party y on qubits, normalized."""
     t = np.moveaxis(np.stack([x.as_tensor(), eps * y.as_tensor()]), 0, party)
@@ -142,6 +177,30 @@ def record_scan(monkeypatch):
 
     monkeypatch.setattr(module, "schmidt_rank", rank)
     monkeypatch.setattr(module, "is_k_cge", level)
+    return seen
+
+
+def counted_linalg(monkeypatch):
+    """Record (input shape, factored) for every Cholesky call and count the
+    SVDs."""
+    seen = SimpleNamespace(cholesky=[], svds=0)
+    real_cholesky, real_svd = np.linalg.cholesky, np.linalg.svd
+
+    def cholesky(a, *args, **kwargs):
+        try:
+            out = real_cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            seen.cholesky.append((a.shape, False))
+            raise
+        seen.cholesky.append((a.shape, True))
+        return out
+
+    def svd(*args, **kwargs):
+        seen.svds += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     return seen
 
 
@@ -298,65 +357,33 @@ class TestClassify:
 
     def test_passing_state_scans_only_its_top_level(self, monkeypatch):
         # A passing top level decides the lower ones, so the kernel runs once
-        # per subset of size n/2, and on Haar cuts the full-rank certificate
-        # answers every call without an SVD. Dicke cuts are rank deficient
-        # and fall back to the SVD.
-        module = importlib.import_module("kcge.classify")
-        calls, svd_calls = [], []
-        real_svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return schmidt_rank(*args, **kwargs)
-
-        def counted_svd(*args, **kwargs):
-            svd_calls.append(1)
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(module, "schmidt_rank", counted)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        for dims in [(2,) * 8, (3,) * 6]:
-            calls.clear()
+        # per subset of size n/2, in level_subsets order. On Haar cuts the
+        # capped certificate answers every call from threshold + 1 rows
+        # without an SVD: 9 x 9 factorizations for 2^8, whose threshold is
+        # 2^3, and 10 x 10 for 3^6, whose threshold is 3^2. Dicke cuts are
+        # rank deficient and fall back to the SVD.
+        seen = record_scan(monkeypatch)
+        linalg = counted_linalg(monkeypatch)
+        for dims, cap in [((2,) * 8, 9), ((3,) * 6, 10)]:
+            seen.cuts.clear()
+            linalg.cholesky.clear()
             n = len(dims)
-            assert classify(haar_state(dims, RNG)).max_cge_level == n // 2
-            assert len(calls) == math.comb(n, n // 2)
-        assert not svd_calls
+            st = haar_state(dims, RNG)
+            assert classify(st).max_cge_level == n // 2
+            assert seen.cuts == scanned(st, n // 2)
+            assert linalg.cholesky == [((cap, cap), True)] * math.comb(n, n // 2)
+        assert linalg.svds == 0
         assert classify(dicke(8, 2, 4)).max_cge_level == 2
-        assert svd_calls
+        assert linalg.svds
 
     def test_certificate_matches_svd_only_reports(self, monkeypatch):
-        # schmidt_rank certifies full rank by a shifted Cholesky and runs its
-        # SVD only when that fails. Forcing the SVD on every call must leave
-        # every report byte-identical, also for GHZ plus Haar admixtures at
-        # 0.5 to 2 times the rank cutoff and FULL_RANK_MARGIN.
-        default = Tolerance()
-        corpus = [
-            (haar_state(dims, RNG), default)
-            for dims in [(2,) * 6, (2,) * 7, (3,) * 4, (2, 3) * 3, (2, 2, 3, 4), (3, 2, 2, 3, 2)]
-        ]
-        corpus += [(planted_product((2, 3) * 3, 2, RNG), default), (random_w4(RNG), default)]
-        corpus += [
-            (st, default)
-            for st in [
-                ghz(5, 2, [2**-0.5] * 2),
-                ghz(4, 3, [3**-0.5] * 3),
-                w_type(5, [6**-0.5] * 6),
-                dicke(6, 2, 3),
-                dicke(5, 3, 4),
-                network_joint_state(complete_network(4)),
-                network_joint_state(chain_network(4)),
-                network_joint_state(star_network(5)),
-            ]
-        ]
-        for scale, tol in [(c, Tolerance(rank_cutoff=c)) for c in (1e-9, 1e-6, 1e-2)] + [
-            (FULL_RANK_MARGIN, default)
-        ]:
-            for m in (4, 5, 6):
-                for factor in (0.5, 0.9, 1.1, 2.0):
-                    amps = ghz(m, 2, [2**-0.5] * 2).amps
-                    amps = amps + factor * scale * haar_state((2,) * m, RNG).amps
-                    corpus.append((PureState((2,) * m, amps / np.linalg.norm(amps)), tol))
-        cases = [(st, tol, max_k) for st, tol in corpus for max_k in (None, 1, 2)]
+        # schmidt_rank certifies rank >= cap, or full rank, by a shifted
+        # Cholesky and runs its SVD only when that fails. Neither the cap
+        # that is_k_cge passes nor the certificate may change a byte: the
+        # reports must be the same with the kernel uncapped and with the SVD
+        # forced on every call.
+        module = importlib.import_module("kcge.classify")
+        cases = [(st, tol, max_k) for st, tol in certificate_corpus(RNG) for max_k in (None, 1, 2)]
 
         def reports():
             return [
@@ -365,6 +392,12 @@ class TestClassify:
             ]
 
         certified = reports()
+
+        def uncapped(state, cut, tol, cap):
+            return schmidt_rank(state, cut, tol)
+
+        monkeypatch.setattr(module, "schmidt_rank", uncapped)
+        assert reports() == certified
 
         def no_certificate(*args, **kwargs):
             raise np.linalg.LinAlgError("certificate disabled")
@@ -391,6 +424,82 @@ class TestClassify:
         assert str(exc.value) == (
             f"exact_radius: C(23, 11) subsets exceed budget {SUBSET_BUDGET}"
         )
+
+
+class TestCappedRank:
+    def test_capped_rank_is_the_svd_rank_capped(self, monkeypatch):
+        # For every cap from 1 to one past the short side, on every proper
+        # cut, wide and tall: min(full-matrix SVD rank, cap). The corpus
+        # must take the capped certificate both ways, so both the early
+        # return and the fall-through are checked.
+        seen = counted_linalg(monkeypatch)
+        corpus = certificate_corpus(RNG) + [(dicke(5, 2, 2), Tolerance())]
+        capped_outcomes = set()
+        for st, tol in corpus:
+            for size in range(1, st.n):
+                for members in combinations(range(st.n), size):
+                    cut = PartySubset(members, st.n)
+                    want = svd_rank(st.amps, st.dims, members, tol.rank_cutoff)
+                    side = math.prod(st.dims[p] for p in members)
+                    short = min(side, st.total_dim // side)
+                    for cap in range(1, short + 2):
+                        seen.cholesky.clear()
+                        assert schmidt_rank(st, cut, tol, cap=cap) == min(want, cap)
+                        if cap < short and seen.cholesky[0][0] == (cap, cap):
+                            capped_outcomes.add(seen.cholesky[0][1])
+        assert capped_outcomes == {True, False}
+
+    def test_capped_certificate_at_its_boundary(self, monkeypatch):
+        # The capped factorization must succeed exactly when the leading cap
+        # rows B (columns, on a tall cut) have sigma_min(B) > rho |M|_F, with
+        # rho = max(FULL_RANK_MARGIN, 2 cutoff): planted at 0.5 to 1.5 rho
+        # on an 8 x 16 block with |M|_F = 1, wide and tall, cap 3 and 5.
+        seen = counted_linalg(monkeypatch)
+        for cutoff in (1e-9, 1e-6, 1e-3, 0.05):
+            tol = Tolerance(rank_cutoff=cutoff)
+            rho = max(FULL_RANK_MARGIN, 2 * cutoff)
+            for cap in (3, 5):
+                for factor in (0.5, 0.9, 1.1, 1.5):
+                    sigma = RNG.uniform(0.2, 0.3, size=cap)
+                    sigma[-1] = factor * rho
+                    lead = (haar_unitary(cap, RNG) * sigma) @ haar_unitary(16, RNG)[:cap]
+                    shape = (8 - cap, 16)
+                    rest = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+                    rest *= math.sqrt(1 - np.sum(sigma**2)) / np.linalg.norm(rest)
+                    mat = np.vstack([lead, rest])
+                    for members, block in [((0, 1, 2), mat), ((0, 1, 2, 3), mat.T)]:
+                        st = PureState((2,) * 7, block.reshape(-1) / np.linalg.norm(block))
+                        seen.cholesky.clear()
+                        rank = schmidt_rank(st, PartySubset(members, 7), tol, cap=cap)
+                        assert seen.cholesky[0] == ((cap, cap), factor > 1)
+                        assert rank == min(svd_rank(st.amps, st.dims, members, cutoff), cap)
+
+    def test_dependent_leading_rows_fall_back(self, monkeypatch):
+        # Rows 0 and 1 of the 8 x 16 matrix of the cut {0, 1, 2} are
+        # parallel, and the rest are Haar, so the rank is 7. Every cap from
+        # 2 to 7 meets the dependent pair in its leading rows, fails the
+        # capped factorization and the full one, and the SVD decides.
+        mat = RNG.standard_normal((8, 16)) + 1j * RNG.standard_normal((8, 16))
+        mat[1] = 2j * mat[0]
+        st = PureState((2,) * 7, mat.reshape(-1) / np.linalg.norm(mat))
+        cut = PartySubset((0, 1, 2), 7)
+        assert svd_rank(st.amps, st.dims, (0, 1, 2)) == 7
+        seen = counted_linalg(monkeypatch)
+        for cap in range(2, 8):
+            seen.cholesky.clear()
+            seen.svds = 0
+            assert schmidt_rank(st, cut, cap=cap) == cap
+            assert seen.cholesky == [((cap, cap), False), ((8, 8), False)]
+            assert seen.svds == 1
+        seen.cholesky.clear()
+        assert schmidt_rank(st, cut, cap=1) == 1
+        assert seen.cholesky == [((1, 1), True)]
+
+    def test_cap_below_one_is_rejected(self):
+        st = haar_state((2,) * 4, RNG)
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="cap"):
+                schmidt_rank(st, PartySubset((0, 1), 4), cap=cap)
 
 
 class TestBiseparable:

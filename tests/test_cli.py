@@ -700,6 +700,35 @@ class TestExitCodes:
             f"{name} must be an integer, got {value + 0.5}",
         )
 
+    # (field name in the refusal, the size of its range, the spec around it);
+    # party 1 of each spec holds two qubit slots.
+    PHASE_INDICES = [
+        ("phase party", 3, lambda v: {
+            "family": "cluster", "edges": [[0, 1, 0.6], [1, 2, 0.7]], "phases": [[v, 0, 1, 0.3]]}),
+        ("phase slot", 2, lambda v: {
+            "family": "cluster", "edges": [[0, 1, 0.6], [1, 2, 0.7]], "phases": [[1, 0, v, 0.3]]}),
+        ("phase party", 3, lambda v: {
+            "family": "graph", "epr_edges": [[0, 1, 0.6]], "ghz_edges": [[[0, 1, 2], 0.7]],
+            "phases": [[v, [0], 0.3]]}),
+        ("phase slot", 2, lambda v: {
+            "family": "graph", "epr_edges": [[0, 1, 0.6]], "ghz_edges": [[[0, 1, 2], 0.7]],
+            "phases": [[1, [0, v], 0.3]]}),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, size, spec", PHASE_INDICES,
+        ids=[f"{spec(0)['family']}-{name.split()[-1]}" for name, _s, spec in PHASE_INDICES],
+    )
+    def test_phase_index_out_of_range(self, tmp_path, capsys, name, size, spec):
+        # Python indexing would take a negative index from the end and raise
+        # IndexError past it; both are refused with the field and its range.
+        def generate(v):
+            return ["generate", "--family", write_json(tmp_path / "f.json", spec(v))]
+
+        assert run(capsys, generate(1))[0] == 0
+        for v in (size, size + 4, -1, -size):
+            self.refused(capsys, generate(v), f"{name} {v} out of range [0, {size})")
+
     def test_generate_product_fractional_dim(self, tmp_path, capsys):
         spec = write_json(tmp_path / "f.json", {"family": "product", "dims": [2.5, 2]})
         self.refused(capsys, ["generate", "--family", spec], "product dims entry")

@@ -24,7 +24,15 @@ from kcge import (
     state_from_dict,
     state_to_dict,
 )
-from kcge.core import FULL_RANK_MARGIN, basis_change_unitary, complete_basis, guard_total_dim
+from kcge.core import (
+    _HERMITICITY_TILE,
+    FULL_RANK_MARGIN,
+    HERMITICITY_ATOL,
+    _max_asymmetry,
+    basis_change_unitary,
+    complete_basis,
+    guard_total_dim,
+)
 from kcge.disentangle import (
     _preparing_unitary,
     apply_biseparable_channel,
@@ -113,6 +121,43 @@ class TestTypes:
             mat[1, 0] = bad
             with pytest.raises(ValueError, match=r"non-finite entries matrix\[1, 0\]"):
                 DensityMatrix((2,), mat)
+
+
+HERMITICITY_SIDES = [1, 2, _HERMITICITY_TILE - 1, _HERMITICITY_TILE, 2 * _HERMITICITY_TILE + 5]
+
+
+class TestHermiticityCheck:
+    @pytest.mark.parametrize("side", HERMITICITY_SIDES)
+    def test_tiled_maximum_is_the_whole_difference(self, side):
+        # The check compares tiles on or above the diagonal with their
+        # mirrors; the maximum must be the float of the whole M - M^H.
+        for _ in range(3):
+            mat = RNG.standard_normal((side, side)) + 1j * RNG.standard_normal((side, side))
+            assert _max_asymmetry(mat) == np.max(np.abs(mat - mat.conj().T))
+
+    @pytest.mark.parametrize("side", HERMITICITY_SIDES)
+    def test_verdict_flips_one_ulp_above_the_tolerance(self, side):
+        # The largest asymmetry sits in a corner off the diagonal, in an
+        # off-diagonal tile once the side passes the tile, above or below
+        # the diagonal; a smaller one sits on the diagonal. A 1 x 1 matrix
+        # is asymmetric by twice its imaginary part.
+        atol = HERMITICITY_ATOL
+        gaps = [(np.nextafter(atol, 0.0), True), (atol, True), (np.nextafter(atol, np.inf), False)]
+        corners = [(0, side - 1), (side - 1, 0)] if side > 1 else [(0, 0)]
+        for corner in corners:
+            for gap, accepted in gaps:
+                mat = np.eye(side, dtype=complex) / side
+                if side == 1:
+                    mat[0, 0] += 0.5j * gap
+                else:
+                    mat[0, 0] += 0.25j * atol
+                    mat[corner] += gap
+                assert _max_asymmetry(mat) == gap
+                if accepted:
+                    DensityMatrix((side,), mat)
+                else:
+                    with pytest.raises(ValueError, match="not Hermitian"):
+                        DensityMatrix((side,), mat)
 
 
 class TestDensityValidation:
