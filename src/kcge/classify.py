@@ -33,9 +33,11 @@ a scan. Otherwise it scans upward from level 1 at cutoff c.
 A subset only asks whether its rank exceeds its threshold t, so
 ``is_k_cge`` calls ``schmidt_rank`` with ``cap=t + 1``. A pass, in the
 probe or in the upward scan, is then certified by a shifted Cholesky
-factorization of the Gram matrix of t + 1 rows of the cut's matrix, about
-1/d of its short side, and a failing subset still gets its exact rank as
-``witness_rank`` (proof in the ``schmidt_rank`` docstring).
+factorization of the Gram matrix of a (t + 1) x (t + 1) submatrix of the
+cut's matrix, or else of t + 1 of its rows (about 1/d of its short side),
+read from the tensor without building the matrix; a failing subset still
+gets its exact rank as ``witness_rank`` (proof in the ``schmidt_rank``
+docstring).
 
 A state fixed by every party permutation needs one subset per level. The
 swap (0 1) and the cycle (0 1 ... n-1) generate S_n, so when all dims are
@@ -55,8 +57,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -93,22 +93,6 @@ def check_budget(
         )
 
 
-def _is_permutation_symmetric(state: PureState) -> bool:
-    """The symmetry test of ``level_subsets``. It compares raw 64-bit
-    words, so -0.0 differs from +0.0."""
-    n = state.n
-    if n < 2 or len(set(state.dims)) != 1:
-        return False
-    tensor = state.as_tensor()
-    words = tensor.view(np.uint64)
-    swap = (1, 0, *range(2, n))
-    cycle = (*range(1, n), 0)
-    return all(
-        np.array_equal(np.ascontiguousarray(tensor.transpose(perm)).view(np.uint64), words)
-        for perm in (swap, cycle)
-    )
-
-
 def level_subsets(
     state: PureState, k: int, budget_dim: int = DIM_BUDGET, caller: str | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -117,8 +101,9 @@ def level_subsets(
     the one level scan of ``is_k_cge`` and ``witness.exact_radius``. A
     budget refusal names ``caller`` (see ``check_budget``).
 
-    When n >= 2, all dims are equal and the amplitude tensor equals, byte
-    for byte, its transposes under the swap (0 1) and the cycle
+    When ``state.permutation_symmetric`` (computed once per state), that
+    is, when n >= 2, all dims are equal and the amplitude tensor equals,
+    byte for byte, its transposes under the swap (0 1) and the cycle
     (0 1 ... n-1), which generate S_n, every size-k ``bipartite_matrix`` is
     the same array. Then (0, ..., k-1) alone is yielded: every other subset
     has its rank and Schmidt coefficients, so it is the lexicographically
@@ -127,7 +112,7 @@ def level_subsets(
     if not 1 <= k <= n // 2:
         raise ValueError(f"level k={k} out of range [1, {n // 2}] for n={n}")
     check_budget(state, budget_dim, caller)
-    if _is_permutation_symmetric(state):
+    if state.permutation_symmetric:
         subsets = [tuple(range(k))]
     else:
         subsets = itertools.combinations(range(n), k)

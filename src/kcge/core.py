@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import InitVar, dataclass, fields, is_dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,11 +27,11 @@ HERMITICITY_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 PSD_EIGENVALUE_FLOOR = -1e-9
 UNITARY_ATOL = 1e-9
-# schmidt_rank certifies full rank (or, given a cap, rank >= cap) without an
-# SVD when the smallest singular value of the block (of its first cap rows)
-# exceeds this share of the Frobenius norm (or twice the rank cutoff, if
-# larger): far above round-off, and far below a typical Haar cut up to 2^16
-# dims (about 2e-4 for a 256 x 256 cut).
+# schmidt_rank certifies rank >= c, for c = min(cap, short side), without an
+# SVD when the smallest singular value of a c x c or c x long submatrix of the
+# cut's matrix exceeds this share of its Frobenius norm (or twice the rank
+# cutoff, if larger): far above round-off, and far below a typical Haar cut
+# up to 2^16 dims (about 2e-4 for a 256 x 256 cut).
 FULL_RANK_MARGIN = 1e-5
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -179,6 +180,38 @@ class PureState:
 
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
+
+    # Facts of the (immutable) amplitudes that every cut and every level
+    # reads, computed once per state.
+
+    @cached_property
+    def nonzero_count(self) -> int:
+        return int(np.count_nonzero(self.amps))
+
+    @cached_property
+    def norm_squared(self) -> float:
+        """|psi|^2 as one sum over every amplitude: the squared Frobenius
+        norm of every bipartite matrix, compacted or not."""
+        return float(np.vdot(self.amps, self.amps).real)
+
+    @cached_property
+    def permutation_symmetric(self) -> bool:
+        """True when n >= 2, all dims are equal and the amplitude tensor
+        equals, byte for byte, its transposes under the swap (0 1) and the
+        cycle (0 1 ... n-1). Those generate S_n, so the tensor is then fixed
+        by every party permutation. Raw 64-bit words are compared, so -0.0
+        differs from +0.0."""
+        n = self.n
+        if n < 2 or len(set(self.dims)) != 1:
+            return False
+        tensor = self.as_tensor()
+        words = tensor.view(np.uint64)
+        swap = (1, 0, *range(2, n))
+        cycle = (*range(1, n), 0)
+        return all(
+            np.array_equal(np.ascontiguousarray(tensor.transpose(perm)).view(np.uint64), words)
+            for perm in (swap, cycle)
+        )
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
@@ -362,6 +395,36 @@ def schmidt(
     )
 
 
+def _leading_rows(view: np.ndarray, axes: int, count: int) -> np.ndarray:
+    """The first ``count`` rows of ``view`` as a matrix whose rows run over
+    its first ``axes`` axes (mixed radix, first axis most significant) and
+    whose columns run over the rest, copying only those rows: whole leading
+    slices of the first axis, then the same prefix of the next slice, one
+    axis down."""
+    rows = np.empty((count, math.prod(view.shape[axes:])), dtype=view.dtype)
+    done = 0
+    while True:
+        block = math.prod(view.shape[1:axes])
+        whole = (count - done) // block
+        if whole:
+            rows[done : done + whole * block].reshape(view[:whole].shape)[...] = view[:whole]
+            done += whole * block
+            if done == count:
+                return rows
+        view, axes = view[whole], axes - 1
+
+
+def _certifies(lead: np.ndarray, shift: float) -> bool:
+    """Whether the Cholesky factorization of lead lead^H - shift I completes."""
+    gram = lead @ lead.conj().T
+    gram.reshape(-1)[:: gram.shape[0] + 1] -= shift
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def schmidt_rank(
     state: PureState,
     cut: PartySubset,
@@ -372,91 +435,88 @@ def schmidt_rank(
     min(that number, ``cap``) when a ``cap`` is given; a ``cap`` below 1
     raises ValueError.
 
-    All-zero rows and columns of the bipartite matrix are dropped first:
-    they carry no singular value, so the nonzero spectrum and sigma_max stay
-    exact while sparse states (GHZ, Dicke, network states) get a much
-    smaller kernel.
+    Let M be the cut's matrix oriented to its short side, m x n with
+    m <= n (the complement's parties index the rows when they span the
+    shorter side). For a state with a zero amplitude, M first drops its
+    all-zero rows and columns: they carry no singular value, so the nonzero
+    spectrum and sigma_max stay exact while sparse states (GHZ, Dicke,
+    network states) get a much smaller kernel. A state without one has no
+    zero row or column, and the rows the certificate reads are gathered
+    straight from the tensor, without building M.
 
-    Full rank is then certified without an SVD. Let the block M be m x n
-    with m <= n (M is transposed when tall), c the cutoff,
-    rho = max(FULL_RANK_MARGIN, 2c) and G = M M^H. If the Cholesky
-    factorization of G - s I succeeds for s = (rho^2 + 2(m+n) eps) tr G,
-    the rank is m, and the SVD count below would give m as well:
+    With c = min(cap, m) (c = m without a cap), rank >= c is certified
+    without an SVD. Let B be the first c rows of M and A the first c columns
+    of B, rho = max(FULL_RANK_MARGIN, 2 cutoff) for the relative cutoff,
+    N the number of amplitudes, F = |psi|^2 summed once per state over all
+    of them (``PureState.norm_squared``) and s = (rho^2 + 2(N+n+c) eps) F.
+    If the Cholesky factorization of X X^H - s I completes for X = A, or
+    else (when n > c) for X = B, the result is c, the value min(rank, cap)
+    that the SVD count would give:
 
-    * With unit round-off u = eps / 2, the computed G is the Gram matrix
-      of M up to n u |M| |M^H| entrywise, and a Cholesky factorization
-      R^H R that completes is exact for a matrix within (m+1) u |R^H| |R|
-      of its input (Higham, Accuracy and Stability of Numerical Algorithms,
-      2nd ed., sections 3.5 and 10.1). In the 2-norm |M| |M^H| is at most
-      |M|_F^2 = tr G and |R^H| |R| at most |R|_F^2 = tr(G - s I) < tr G, so
-      both errors together stay below (m+n+1) u tr G, and the rest of
-      2(m+n) eps tr G covers the rounding of tr G, s and G - s I. So the
-      exact G - rho^2 tr G I is positive definite:
-      sigma_m^2 = lambda_min(G) > rho^2 |M|_F^2.
-    * sigma_max <= |M|_F, so sigma_m / sigma_max > rho >= 2c.
+    * Compaction drops only zeros, so |M|_F^2 = |psi|^2. F sums N
+      nonnegative terms, so in any summation order it is within (N+2) u
+      |M|_F^2 of the exact value, with unit round-off u = eps / 2 (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+      3.1). With the rounding of s and of X X^H - s I, the computed shift
+      falls short of (rho^2 + 2(N+n+c) eps) |M|_F^2 by at most (N+6) u
+      (rho^2 + 2(N+n+c) eps) |M|_F^2. A positive first pivot X_1 X_1^H - s
+      bounds rho^2 + 2(N+n+c) eps below 2 (for N u < 1/4), so that
+      shortfall is below (N+6) eps |M|_F^2.
+    * X is c x w with w <= n and |X|_F <= |M|_F. The computed X X^H is
+      the Gram matrix up to w u |X| |X^H| entrywise, and a Cholesky
+      factorization R^H R that completes is exact for a matrix within
+      (c+1) u |R^H| |R| of its input (Higham, sections 3.5 and 10.1). In
+      the 2-norm |X| |X^H| is at most |X|_F^2 and |R^H| |R| at most
+      |R|_F^2 = tr(X X^H - s I) < |X|_F^2, so both errors together stay
+      below (n+c+1) u |M|_F^2. With the shortfall that is below
+      2(N+n+c) eps |M|_F^2, as N >= 4, so the exact X X^H - rho^2 |M|_F^2 I
+      is positive definite: sigma_min(X) > rho |M|_F.
+    * Deleting rows or columns does not raise singular values:
+      sigma_i(X) <= sigma_i(M) for i <= c (Horn & Johnson, Topics in Matrix
+      Analysis, Cor. 3.1.3). So sigma_c(M) > rho |M|_F >= rho sigma_max
+      >= 2 cutoff sigma_max.
     * The SVD's computed singular values lie within O((m+n) eps) sigma_max
       of the exact ones, far below rho sigma_max / 2 >= sigma_max
-      FULL_RANK_MARGIN / 2, so every computed ratio sigma_i / sigma_1 still
-      exceeds rho / 2 >= c and the SVD counts all m values.
+      FULL_RANK_MARGIN / 2, so the computed ratios sigma_i / sigma_1,
+      i <= c, still exceed rho / 2 >= cutoff, and the SVD counts at least
+      c values.
 
-    A rank-deficient or near-deficient block fails the factorization and
-    takes the SVD path, which decides the rank as before.
-
-    With ``cap < m`` the same certificate runs first on B, the first
-    ``cap`` rows of M (columns, when M is tall), against the whole block:
-    s = (rho^2 + 2(N+n+cap) eps) F with N = mn and F the computed
-    |M|_F^2. If the cap x cap factorization of B B^H - s I succeeds, the
-    result is ``cap``, the value min(rank, cap) that the path above would
-    return:
-
-    * F sums N nonnegative terms |M_ij|^2, so in any summation order it
-      is within (N+2) u |M|_F^2 of the exact value (Higham, section 3.1).
-      With the rounding of s and of B B^H - s I, the computed shift falls
-      short of (rho^2 + 2(N+n+cap) eps) |M|_F^2 by at most (N+6) u
-      (rho^2 + 2(N+n+cap) eps) |M|_F^2. A positive first pivot
-      B_1 B_1^H - s bounds rho^2 + 2(N+n+cap) eps below 2 (for N u < 1/4),
-      so that shortfall is below (N+6) eps |M|_F^2.
-    * The Gram and Cholesky errors of the first item, for cap rows of
-      length n with |B|_F <= |M|_F, stay below (n+cap+1) u |M|_F^2.
-      Together with the shortfall that is below 2(N+n+cap) eps |M|_F^2,
-      as N >= 4, so sigma_min(B)^2 = lambda_min(B B^H) > rho^2 |M|_F^2.
-    * Deleting rows does not raise singular values: sigma_i(B) <=
-      sigma_i(M) for i <= cap (Horn & Johnson, Topics in Matrix Analysis,
-      Cor. 3.1.3). So sigma_cap(M) >= sigma_min(B) > rho |M|_F >=
-      rho sigma_max >= 2c sigma_max, and by the third item the SVD counts
-      at least ``cap`` values.
-
-    A failed capped factorization takes the path above on the same block
-    and returns min(rank, cap), which is the exact rank whenever the rank
-    is below ``cap``."""
+    A goes first because its Gram matrix costs c / n of B's. B stays
+    because rho = 2 cutoff outgrows a square block's sigma_min at large
+    cutoffs long before it outgrows B's; when c = m, B is all of M. If both
+    factorizations fail, the SVD of the cut's matrix (compacted, not
+    transposed) decides, and the result min(rank, cap) is the exact rank
+    whenever the rank is below ``cap``."""
     if cap is not None and cap < 1:
         raise ValueError(f"cap={cap} must be at least 1")
-    mat = bipartite_matrix(state, cut)
-    rows, cols = mat.any(axis=1), mat.any(axis=0)
-    if not rows.any():
-        return 0
-    if not (rows.all() and cols.all()):
-        mat = mat[np.ix_(rows, cols)]
-    short, long_ = sorted(mat.shape)
-    wide = mat.shape[0] == short
+    _require_proper(cut, state.n, "schmidt rank")
+    if state.nonzero_count < state.total_dim:
+        mat = bipartite_matrix(state, cut)
+        rows, cols = mat.any(axis=1), mat.any(axis=0)
+        if not (rows.all() and cols.all()):
+            mat = mat[np.ix_(rows, cols)]
+        block = mat if mat.shape[0] <= mat.shape[1] else mat.T
+        short, long_ = block.shape
+        c = short if cap is None else min(cap, short)
+        lead = block[:c]
+    else:
+        mat = None
+        members, rest = cut.members, cut.complement
+        short = math.prod(state.dims[p] for p in members)
+        long_ = state.total_dim // short
+        if short > long_:
+            members, rest, short, long_ = rest, members, long_, short
+        c = short if cap is None else min(cap, short)
+        view = state.as_tensor().transpose(members + rest)
+        lead = _leading_rows(view, len(members), c)
     rho = max(FULL_RANK_MARGIN, 2.0 * tol.rank_cutoff)
-    if cap is not None and cap < short:
-        lead = mat[:cap] if wide else mat[:, :cap].T
-        frob = np.vdot(mat, mat).real
-        shift = (rho**2 + 2 * (mat.size + long_ + cap) * _EPS) * frob
-        try:
-            np.linalg.cholesky(lead @ lead.conj().T - shift * np.eye(cap))
-            return cap
-        except np.linalg.LinAlgError:
-            pass
-    gram = mat @ mat.conj().T if wide else mat.conj().T @ mat
-    shift = (rho**2 + 2 * (short + long_) * _EPS) * gram.trace().real
-    try:
-        np.linalg.cholesky(gram - shift * np.eye(short))
-        rank = short
-    except np.linalg.LinAlgError:
-        sigma = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.count_nonzero(sigma / sigma[0] > tol.rank_cutoff))
+    shift = (rho**2 + 2 * (state.total_dim + long_ + c) * _EPS) * state.norm_squared
+    if _certifies(lead[:, :c], shift) or (long_ > c and _certifies(lead, shift)):
+        return c
+    if mat is None:
+        mat = bipartite_matrix(state, cut)
+    sigma = np.linalg.svd(mat, compute_uv=False)
+    rank = int(np.count_nonzero(sigma / sigma[0] > tol.rank_cutoff))
     return rank if cap is None else min(rank, cap)
 
 

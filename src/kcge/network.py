@@ -107,7 +107,7 @@ class NetworkGraph:
         """Per party, one int64 row (neighbour, index into ``_local_dims``,
         multiplicity) for each edge entry at that party."""
         index = {d: k for k, d in enumerate(self._local_dims)}
-        ends = np.array([(i, j, index[d], m) for i, j, m, d in self.edges], np.int64)
+        ends = np.array([(i, j, index[d], m) for i, j, m, d in self.edges], np.int64).reshape(-1, 4)
         both = np.concatenate([ends, ends[:, [1, 0, 2, 3]]])
         both = both[np.argsort(both[:, 0], kind="stable")]
         return np.split(both[:, 1:], np.searchsorted(both[:, 0], np.arange(1, self.n)))
@@ -218,29 +218,34 @@ def _degree_check(g: NetworkGraph, members: list[int]) -> SizeCheck:
     degree less the dim-d units inside S counted from both ends. Signs
     decide unless they are mixed, which needs exact products. For one local
     dim the condition is s_in + 2t >= s_out.
+
+    This form counts the units inside S from scratch; ``_grow_from_seed``
+    keeps the same counts as S grows.
     """
+    rows = np.concatenate([g._incidence[m] for m in members])
+    return _size_check(g, members, _units_per_dim(g, rows[np.isin(rows[:, 0], members)]))
+
+
+def _units_per_dim(g: NetworkGraph, rows: np.ndarray) -> np.ndarray:
+    """Units of the incidence ``rows`` per local dim, as int64."""
+    return np.bincount(rows[:, 1], rows[:, 2], len(g._local_dims)).astype(np.int64)
+
+
+def _size_check(g: NetworkGraph, members: list[int], inside: np.ndarray) -> SizeCheck:
+    """``_degree_check`` given ``inside``, the units with both ends in S per
+    local dim, counted from both ends."""
     seed = members[0]
-    block = g.units[np.ix_(members, members)]
-    s_in = int(block[0].sum())
-    inner = int(block.sum())  # every unit inside S, counted from both ends
+    s_in = int(g.units[seed, members].sum())
+    inner = int(inside.sum())
     degree = g.degree(seed)
     dims = g._local_dims
-    if len(dims) <= 1:
-        excess = [degree - inner]
-    else:
-        rows = np.concatenate([g._incidence[m] for m in members])
-        rows = rows[np.isin(rows[:, 0], members)]
-        seed_rows = g._incidence[seed]
-        excess = (
-            np.bincount(seed_rows[:, 1], seed_rows[:, 2], len(dims))
-            - np.bincount(rows[:, 1], rows[:, 2], len(dims))
-        ).astype(np.int64).tolist()
-    if min(excess) < 0 < max(excess):
+    excess = (_units_per_dim(g, g._incidence[seed]) - inside).tolist()
+    if min(excess, default=0) < 0 < max(excess, default=0):
         fires = math.prod(d**e for d, e in zip(dims, excess) if e > 0) <= math.prod(
             d**-e for d, e in zip(dims, excess) if e < 0
         )
     else:
-        fires = max(excess) <= 0
+        fires = max(excess, default=0) <= 0
     return SizeCheck(len(members), s_in, degree - s_in, inner // 2 - s_in, fires)
 
 
@@ -250,14 +255,23 @@ def _grow_from_seed(g: NetworkGraph, seed: int) -> SeedTrace:
     # parties including the seed.
     max_size = min((degree + 1) // 2 + 1, g.n)
     members = [seed]
-    checks = [_degree_check(g, members)]
+    in_subset = np.zeros(g.n, dtype=bool)
+    in_subset[seed] = True
+    # Running per-party units shared with the subset, and per-dim units
+    # inside it (counted from both ends), updated as each party joins.
+    shared = g.units[seed].copy()
+    inside = np.zeros(len(g._local_dims), dtype=np.int64)
+    checks = [_size_check(g, members, inside)]
     while not checks[-1].fires and len(members) < max_size:
-        shared = g.units[members].sum(axis=0)
-        shared[members] = -1
         # Most shared edge units first, lowest index on ties (argmax takes
         # the first maximum).
-        members.append(int(np.argmax(shared)))
-        checks.append(_degree_check(g, members))
+        new = int(np.argmax(np.where(in_subset, -1, shared)))
+        rows = g._incidence[new]
+        inside += 2 * _units_per_dim(g, rows[in_subset[rows[:, 0]]])
+        shared += g.units[new]
+        in_subset[new] = True
+        members.append(new)
+        checks.append(_size_check(g, members, inside))
     first_fire = len(members) if checks[-1].fires else None
     # A party can always be disentangled by cooperating with all of its
     # neighbors, so its degree caps the level regardless.

@@ -3,7 +3,7 @@
 import importlib
 import json
 import math
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -450,35 +450,60 @@ class TestCappedRank:
         assert capped_outcomes == {True, False}
 
     def test_capped_certificate_at_its_boundary(self, monkeypatch):
-        # The capped factorization must succeed exactly when the leading cap
-        # rows B (columns, on a tall cut) have sigma_min(B) > rho |M|_F, with
-        # rho = max(FULL_RANK_MARGIN, 2 cutoff): planted at 0.5 to 1.5 rho
-        # on an 8 x 16 block with |M|_F = 1, wide and tall, cap 3 and 5.
+        # On the short-side-oriented 8 x 16 block M with |M|_F = 1, the
+        # kernel factors the Gram matrix of A, the leading cap x cap block,
+        # then that of B, the leading cap rows, and succeeds exactly where
+        # sigma_min > rho |M|_F, rho = max(FULL_RANK_MARGIN, 2 cutoff).
+        # First sigma_min(A) is planted at 0.5 to 1.5 rho with B well
+        # conditioned (B's other columns are 0.2 times orthonormal rows, so
+        # sigma_min(B) >= 0.2); then sigma_min(B) is planted with A singular
+        # (B's rows are orthogonal to a dense vector supported on the first
+        # cap columns). Cap 3 and 5, wide and tall cuts, dense states and,
+        # with ``zero``, states with one zero amplitude outside B, which
+        # take the compacted path.
         seen = counted_linalg(monkeypatch)
-        for cutoff in (1e-9, 1e-6, 1e-3, 0.05):
+        for zero, cutoff in product((False, True), (1e-9, 1e-6, 1e-3, 0.05)):
             tol = Tolerance(rank_cutoff=cutoff)
             rho = max(FULL_RANK_MARGIN, 2 * cutoff)
             for cap in (3, 5):
                 for factor in (0.5, 0.9, 1.1, 1.5):
                     sigma = RNG.uniform(0.2, 0.3, size=cap)
                     sigma[-1] = factor * rho
-                    lead = (haar_unitary(cap, RNG) * sigma) @ haar_unitary(16, RNG)[:cap]
-                    shape = (8 - cap, 16)
-                    rest = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
-                    rest *= math.sqrt(1 - np.sum(sigma**2)) / np.linalg.norm(rest)
-                    mat = np.vstack([lead, rest])
-                    for members, block in [((0, 1, 2), mat), ((0, 1, 2, 3), mat.T)]:
-                        st = PureState((2,) * 7, block.reshape(-1) / np.linalg.norm(block))
-                        seen.cholesky.clear()
-                        rank = schmidt_rank(st, PartySubset(members, 7), tol, cap=cap)
-                        assert seen.cholesky[0] == ((cap, cap), factor > 1)
-                        assert rank == min(svd_rank(st.amps, st.dims, members, cutoff), cap)
+                    square = (haar_unitary(cap, RNG) * sigma) @ haar_unitary(cap, RNG)
+                    others = 0.2 * haar_unitary(16 - cap, RNG)[:cap]
+                    lead_square = np.hstack([square, others])
+                    y = np.zeros(16, complex)
+                    y[:cap] = RNG.uniform(0.5, 1.0, size=cap) * np.exp(2j * np.pi * RNG.random(cap))
+                    gauss = RNG.standard_normal((cap, 16)) + 1j * RNG.standard_normal((cap, 16))
+                    gauss -= np.outer(gauss @ y, y.conj()) / np.vdot(y, y)
+                    orth = np.linalg.qr(gauss.conj().T)[0].conj().T
+                    lead_rows = (haar_unitary(cap, RNG) * sigma) @ orth
+                    assert np.linalg.svd(lead_rows[:, :cap], compute_uv=False)[-1] < 1e-12
+                    for lead, want in [
+                        (lead_square, [((cap, cap), factor > 1)] + [((cap, cap), True)] * (factor < 1)),
+                        (lead_rows, [((cap, cap), False), ((cap, cap), factor > 1)]),
+                    ]:
+                        shape = (8 - cap, 16)
+                        rest = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+                        if zero:
+                            rest[-1, 3] = 0.0
+                        rest *= math.sqrt(1 - np.linalg.norm(lead) ** 2) / np.linalg.norm(rest)
+                        mat = np.vstack([lead, rest])
+                        for members, block in [((0, 1, 2), mat), ((0, 1, 2, 3), mat.T)]:
+                            st = PureState((2,) * 7, block.reshape(-1) / np.linalg.norm(block))
+                            assert (st.nonzero_count < st.total_dim) == zero
+                            seen.cholesky.clear()
+                            seen.svds = 0
+                            rank = schmidt_rank(st, PartySubset(members, 7), tol, cap=cap)
+                            assert seen.cholesky == want
+                            assert seen.svds == (want[-1][1] is False)
+                            assert rank == min(svd_rank(st.amps, st.dims, members, cutoff), cap)
 
     def test_dependent_leading_rows_fall_back(self, monkeypatch):
         # Rows 0 and 1 of the 8 x 16 matrix of the cut {0, 1, 2} are
         # parallel, and the rest are Haar, so the rank is 7. Every cap from
-        # 2 to 7 meets the dependent pair in its leading rows, fails the
-        # capped factorization and the full one, and the SVD decides.
+        # 2 to 7 meets the dependent pair in its leading square block and in
+        # its leading rows, fails both factorizations, and the SVD decides.
         mat = RNG.standard_normal((8, 16)) + 1j * RNG.standard_normal((8, 16))
         mat[1] = 2j * mat[0]
         st = PureState((2,) * 7, mat.reshape(-1) / np.linalg.norm(mat))
@@ -489,7 +514,7 @@ class TestCappedRank:
             seen.cholesky.clear()
             seen.svds = 0
             assert schmidt_rank(st, cut, cap=cap) == cap
-            assert seen.cholesky == [((cap, cap), False), ((8, 8), False)]
+            assert seen.cholesky == [((cap, cap), False), ((cap, cap), False)]
             assert seen.svds == 1
         seen.cholesky.clear()
         assert schmidt_rank(st, cut, cap=1) == 1
@@ -606,11 +631,11 @@ class TestPermutationSymmetricShortcut:
                 assert list(level_subsets(st, k)) == [(tuple(range(k)), st.dims[0] ** (k - 1))]
 
     def test_reports_match_the_full_scan(self, monkeypatch):
-        module = importlib.import_module("kcge.classify")
         corpus = symmetric_corpus(np.random.default_rng(1415))
         tight = Tolerance(rank_cutoff=1e-3)
         shortcut = [(classify(st).to_dict(), classify(st, tight).to_dict()) for st in corpus]
-        monkeypatch.setattr(module, "_is_permutation_symmetric", lambda state: False)
+        assert all(st.permutation_symmetric for st in corpus)
+        monkeypatch.setattr(PureState, "permutation_symmetric", property(lambda state: False))
         full = [(classify(st).to_dict(), classify(st, tight).to_dict()) for st in corpus]
         assert json.dumps(shortcut) == json.dumps(full)
 

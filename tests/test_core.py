@@ -14,6 +14,7 @@ from kcge import (
     Tolerance,
     apply_local_operator,
     basis_state,
+    classify,
     expand_to_full,
     ghz,
     haar_state,
@@ -30,6 +31,7 @@ from kcge.core import (
     HERMITICITY_ATOL,
     _max_asymmetry,
     basis_change_unitary,
+    bipartite_matrix,
     complete_basis,
     guard_total_dim,
 )
@@ -448,6 +450,102 @@ class TestSchmidt:
         st = PureState((2, 2), amps)
         assert schmidt_rank(st, sub([0], 2)) == 2
         assert schmidt_rank(st, sub([0], 2), Tolerance(rank_cutoff=1e-3)) == 1
+
+
+class TestCertificateInputs:
+    """What the rank certificate reads: rows gathered from the tensor and
+    facts computed once per state, each against a direct computation."""
+
+    def test_gathered_rows_are_the_oriented_matrix_prefix(self, monkeypatch):
+        # With both factorizations refused, the kernel hands over the
+        # leading c x c block and then the leading c rows of the cut's
+        # matrix, oriented to its short side. They must equal slices of
+        # bipartite_matrix for every c from 1 to the short side, on wide,
+        # tall and square cuts with uniform and mixed dims.
+        import kcge.core as core
+
+        seen = []
+
+        def refuse(lead, shift):
+            seen.append(lead.copy())
+            return False
+
+        monkeypatch.setattr(core, "_certifies", refuse)
+        kinds = set()
+        for dims in [(2,) * 6, (3,) * 4, (2, 3, 2, 3), (3, 2, 4, 2), (2, 2, 3)]:
+            st = haar_state(dims, RNG)
+            assert st.nonzero_count == st.total_dim
+            for cut in proper_cuts(st.n):
+                mat = bipartite_matrix(st, sub(cut, st.n))
+                kinds.add(np.sign(mat.shape[1] - mat.shape[0]))
+                oriented = mat if mat.shape[0] <= mat.shape[1] else mat.T
+                short, long_ = oriented.shape
+                for c in range(1, short + 1):
+                    seen.clear()
+                    schmidt_rank(st, sub(cut, st.n), cap=c)
+                    want = [oriented[:c, :c]] + [oriented[:c]] * (long_ > c)
+                    assert len(seen) == len(want)
+                    for got, expected in zip(seen, want):
+                        assert np.array_equal(got, expected)
+        assert kinds == {-1, 0, 1}
+
+    def test_state_facts_match_direct_computation(self):
+        # nonzero_count, norm_squared and permutation_symmetric, each read
+        # once and kept on the state, against np.count_nonzero, np.vdot and
+        # the transposes under all n! party permutations.
+        from kcge import dicke
+
+        corpus = [haar_state((2,) * 5, RNG), haar_state((2, 3, 2), RNG), ghz_pair(4)]
+        corpus += [dicke(4, 2, 2), dicke(3, 3, 2), basis_state((3,) * 3, 5)]
+        amps = dicke(4, 2, 2).amps.copy()
+        amps[3] = complex(np.nextafter(amps[3].real, 1.0), 0.0)
+        corpus.append(PureState((2,) * 4, amps))
+        amps = ghz_pair(3).amps.copy()
+        amps[1] = complex(-0.0, 0.0)
+        corpus.append(PureState((2,) * 3, amps))
+        symmetric = []
+        for st in corpus:
+            tensor = st.as_tensor()
+            words = tensor.view(np.uint64)
+            assert st.nonzero_count == np.count_nonzero(st.amps)
+            assert st.norm_squared == float(np.vdot(st.amps, st.amps).real)
+            want = len(set(st.dims)) == 1 and all(
+                np.array_equal(np.ascontiguousarray(tensor.transpose(p)).view(np.uint64), words)
+                for p in itertools.permutations(range(st.n))
+            )
+            assert st.permutation_symmetric == want
+            symmetric.append(want)
+            assert {"nonzero_count", "norm_squared", "permutation_symmetric"} <= set(vars(st))
+        assert symmetric == [False, False, True, True, True, False, False, False]
+
+    def test_one_zero_amplitude_matches_svd(self):
+        # One zero amplitude sends a Haar state down the compacted path;
+        # every cap on every cut must give min(SVD rank, cap).
+        for dims in [(2,) * 6, (2, 3, 2, 3), (3, 2, 4)]:
+            amps = haar_state(dims, RNG).amps.copy()
+            amps[int(RNG.integers(amps.size))] = 0.0
+            st = PureState(dims, amps / np.linalg.norm(amps))
+            assert st.nonzero_count == st.total_dim - 1
+            for cutoff in (1e-9, 1e-3):
+                tol = Tolerance(rank_cutoff=cutoff)
+                for cut in proper_cuts(st.n):
+                    want = svd_rank(st.amps, st.dims, cut, cutoff)
+                    side = math.prod(dims[p] for p in cut)
+                    for cap in range(1, min(side, st.total_dim // side) + 2):
+                        assert schmidt_rank(st, sub(cut, st.n), tol, cap=cap) == min(want, cap)
+
+    def test_passing_probe_builds_no_bipartite_matrix(self, monkeypatch):
+        # A dense state certifies every passing cut from gathered rows, so
+        # the 70 top-level cuts of a Haar (2,)*8 probe reshape nothing.
+        import kcge.core as core
+
+        calls = []
+        real = core.bipartite_matrix
+        monkeypatch.setattr(core, "bipartite_matrix", lambda *a: calls.append(a) or real(*a))
+        assert classify(haar_state((2,) * 8, RNG)).max_cge_level == 4
+        assert calls == []
+        assert classify(ghz_pair(8)).max_cge_level == 1
+        assert calls
 
 
 class TestApplyLocalOperator:
