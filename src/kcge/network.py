@@ -222,31 +222,34 @@ def _degree_check(g: NetworkGraph, members: list[int]) -> SizeCheck:
     This form counts the units inside S from scratch; ``_grow_from_seed``
     keeps the same counts as S grows.
     """
-    rows = np.concatenate([g._incidence[m] for m in members])
-    return _size_check(g, members, _units_per_dim(g, rows[np.isin(rows[:, 0], members)]))
-
-
-def _units_per_dim(g: NetworkGraph, rows: np.ndarray) -> np.ndarray:
-    """Units of the incidence ``rows`` per local dim, as int64."""
-    return np.bincount(rows[:, 1], rows[:, 2], len(g._local_dims)).astype(np.int64)
-
-
-def _size_check(g: NetworkGraph, members: list[int], inside: np.ndarray) -> SizeCheck:
-    """``_degree_check`` given ``inside``, the units with both ends in S per
-    local dim, counted from both ends."""
     seed = members[0]
+    rows = np.concatenate([g._incidence[m] for m in members])
+    inside = _units_per_dim(g, rows[np.isin(rows[:, 0], members)])
     s_in = int(g.units[seed, members].sum())
-    inner = int(inside.sum())
-    degree = g.degree(seed)
-    dims = g._local_dims
-    excess = (_units_per_dim(g, g._incidence[seed]) - inside).tolist()
+    return _size_check(g, len(members), s_in, _units_per_dim(g, g._incidence[seed]), inside)
+
+
+def _units_per_dim(g: NetworkGraph, rows: np.ndarray) -> list[int]:
+    """Units of the incidence ``rows`` per local dim."""
+    return np.bincount(rows[:, 1], rows[:, 2], len(g._local_dims)).astype(np.int64).tolist()
+
+
+def _size_check(
+    g: NetworkGraph, size: int, s_in: int, seed_units: list[int], inside: list[int]
+) -> SizeCheck:
+    """``_degree_check`` for a subset of ``size`` parties whose seed shares
+    ``s_in`` units with the others, given per local dim the seed's units and
+    ``inside``, the units with both ends in S counted from both ends."""
+    excess = [a - b for a, b in zip(seed_units, inside)]
     if min(excess, default=0) < 0 < max(excess, default=0):
+        dims = g._local_dims
         fires = math.prod(d**e for d, e in zip(dims, excess) if e > 0) <= math.prod(
             d**-e for d, e in zip(dims, excess) if e < 0
         )
     else:
         fires = max(excess, default=0) <= 0
-    return SizeCheck(len(members), s_in, degree - s_in, inner // 2 - s_in, fires)
+    degree = sum(seed_units)
+    return SizeCheck(size, s_in, degree - s_in, sum(inside) // 2 - s_in, fires)
 
 
 def _grow_from_seed(g: NetworkGraph, seed: int) -> SeedTrace:
@@ -257,21 +260,26 @@ def _grow_from_seed(g: NetworkGraph, seed: int) -> SeedTrace:
     members = [seed]
     in_subset = np.zeros(g.n, dtype=bool)
     in_subset[seed] = True
-    # Running per-party units shared with the subset, and per-dim units
-    # inside it (counted from both ends), updated as each party joins.
+    # Running per-party units shared with the subset, the seed's units
+    # inside it, and per-dim units inside it (counted from both ends),
+    # updated as each party joins.
     shared = g.units[seed].copy()
-    inside = np.zeros(len(g._local_dims), dtype=np.int64)
-    checks = [_size_check(g, members, inside)]
+    s_in = 0
+    seed_units = _units_per_dim(g, g._incidence[seed])
+    inside = [0] * len(seed_units)
+    checks = [_size_check(g, 1, s_in, seed_units, inside)]
     while not checks[-1].fires and len(members) < max_size:
         # Most shared edge units first, lowest index on ties (argmax takes
         # the first maximum).
         new = int(np.argmax(np.where(in_subset, -1, shared)))
         rows = g._incidence[new]
-        inside += 2 * _units_per_dim(g, rows[in_subset[rows[:, 0]]])
+        joined = _units_per_dim(g, rows[in_subset[rows[:, 0]]])
+        inside = [a + 2 * b for a, b in zip(inside, joined)]
+        s_in += int(g.units[seed, new])
         shared += g.units[new]
         in_subset[new] = True
         members.append(new)
-        checks.append(_size_check(g, members, inside))
+        checks.append(_size_check(g, len(members), s_in, seed_units, inside))
     first_fire = len(members) if checks[-1].fires else None
     # A party can always be disentangled by cooperating with all of its
     # neighbors, so its degree caps the level regardless.
