@@ -1,6 +1,6 @@
 """Library ``classify`` of a parent revision against the working tree, in one process.
 
-    python3 bench/kernel_ab.py [--parent HEAD] [--repeats 15] [--seed 2100]
+    python3 bench/kernel_ab.py [--parent HEAD]
 
 Exports the committed files of the parent revision with ``git archive``, as
 ``bench/pairs.py`` does, and imports both trees' ``kcge`` side by side under
@@ -11,8 +11,8 @@ states at larger rank cutoffs, where the rank certificate fails more often.
 Each repeat builds a fresh state on each side from the same amplitudes
 (outside the timed region, so facts a state keeps are computed inside it),
 times the two sides back to back with the first side alternating, and
-checks that both reports are equal. Interleaving in one process cancels
-the drift of a shared machine's speed between runs.
+checks that both reports are equal, REPEATS times per case. Interleaving
+in one process cancels the drift of a shared machine's speed between runs.
 
 The result goes to ``BENCH_kernel.json``: both revisions, the machine facts
 that ``bench/pairs.py`` records, per case the best and median milliseconds
@@ -44,6 +44,8 @@ from run import machine_facts  # noqa: E402
 # (dims, rank cutoff): larger cutoffs than the default 1e-9, where the
 # certificate's margin rho = 2 cutoff outgrows a square block's sigma_min.
 EXTRA_CASES = (((3,) * 8, 1e-4), ((2,) * 14, 1e-6), ((2, 3) * 5, 1e-4))
+REPEATS = 15
+SEED = 2100  # of the amplitudes and of the haar-scan request cycle
 
 
 def load(tree: str, name: str):
@@ -66,10 +68,10 @@ def haar_mix(seed: int) -> list[tuple[tuple[int, ...], int]]:
     return [(tuple(int(d) for d in label.split("x")), count) for label, count in labels.items()]
 
 
-def time_case(sides, amps, dims, cutoff, repeats):
+def time_case(sides, amps, dims, cutoff):
     """Milliseconds of each side's ``classify`` per repeat."""
     times = {name: [] for name in sides}
-    for i in range(repeats):
+    for i in range(REPEATS):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
         reports = {}
         for name in order:
@@ -88,18 +90,14 @@ def time_case(sides, amps, dims, cutoff, repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=2100, help="seed of the amplitudes")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     parent_rev = git("rev-parse", args.parent).decode().strip()
     change = {
         "head": git("rev-parse", "HEAD").decode().strip(),
         "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
     }
-    rng = np.random.default_rng(args.seed)
-    cases = [(dims, 1e-9, weight) for dims, weight in haar_mix(args.seed)]
+    rng = np.random.default_rng(SEED)
+    cases = [(dims, 1e-9, weight) for dims, weight in haar_mix(SEED)]
     cases += [(dims, cutoff, 0) for dims, cutoff in EXTRA_CASES]
 
     results = []
@@ -110,7 +108,7 @@ def main(argv=None):
             size = int(np.prod(dims))
             amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             amps /= np.linalg.norm(amps)
-            times = time_case(sides, amps, dims, cutoff, args.repeats)
+            times = time_case(sides, amps, dims, cutoff)
             row = {"dims": list(dims), "rank_cutoff": cutoff, "weight": weight}
             for name, values in times.items():
                 row[name] = {"best_ms": min(values), "median_ms": statistics.median(values)}
@@ -125,12 +123,12 @@ def main(argv=None):
         }
         for name in ("parent", "change")
     }
-    facts = machine_facts(SimpleNamespace(workload="haar-scan", seed=args.seed))
+    facts = machine_facts(SimpleNamespace(workload="haar-scan", seed=SEED))
     report = {
         "parent_revision": parent_rev,
         "change": change,
-        "repeats": args.repeats,
-        "seed": args.seed,
+        "repeats": REPEATS,
+        "seed": SEED,
         "facts": {k: v for k, v in facts.items() if k not in ("workload", "seed", "git_revision")},
         "haar_scan_cycle_ms": cycle,
         "cases": results,

@@ -456,6 +456,16 @@ class TestCertificateInputs:
     """What the rank certificate reads: rows gathered from the tensor and
     facts computed once per state, each against a direct computation."""
 
+    def test_dense_state_rejects_improper_cuts(self):
+        # A state with no zero amplitude never builds the cut's matrix, so
+        # the kernel checks the cut itself.
+        st = haar_state((2, 3, 2, 2), RNG)
+        assert st.nonzero_count == st.total_dim
+        for cut in (PartySubset(tuple(range(4)), 4), PartySubset((0, 1), 5)):
+            for cap in (None, 1, 3):
+                with pytest.raises(ValueError, match="schmidt rank"):
+                    schmidt_rank(st, cut, cap=cap)
+
     def test_gathered_rows_are_the_oriented_matrix_prefix(self, monkeypatch):
         # With both factorizations refused, the kernel hands over the
         # leading c x c block and then the leading c rows of the cut's

@@ -329,6 +329,21 @@ class TestNetworkBound:
         report = network_bound(g)
         assert report.cge_upper_bound == 0
 
+    def test_edgeless_graph(self):
+        # No edge units, so no local dims: every seed's check fires at size 1.
+        with pytest.raises(ValueError, match="two parties"):
+            network_bound(NetworkGraph(1, ()))
+        for n in (2, 3, 4):
+            g = NetworkGraph(n, ())
+            report = network_bound(g)
+            assert (report.degree_condition_size, report.connectivity) == (1, 0)
+            assert (report.connectivity_applies, report.cge_upper_bound) == (False, 0)
+            assert [tr.seed for tr in report.trace] == list(range(n))
+            for tr in report.trace:
+                assert (tr.degree, tr.growth, tr.first_firing_size, tr.level_bound) == (0, (), 1, 0)
+                assert tr.checks == (network_module.SizeCheck(1, 0, 0, 0, True),)
+                assert _degree_check(g, [tr.seed]) == tr.checks[0]
+
     def test_bound_capped_at_half_n(self):
         for g in (complete_network(4), complete_network(5), cubic_network()):
             report = network_bound(g)
