@@ -8,9 +8,12 @@ and for the working tree, in a fresh interpreter each, builds the request
 cycles of both workloads of ``perfbench/workloads.py`` at every seed and
 runs each request that calls ``kcge.cli.main``. For each one it records
 the exit code, a hash of stdout and a hash of every file in the cycle's
-directory that the request created or changed. Prints one line per request
-that differs and a summary; exits 1 when any request differs. Standard
-library only.
+directory that the request created or changed. It then runs ``kcge
+classify`` on a fixed near-cutoff corpus of even-n states (see
+``near_cutoff_states``), at the default cutoff and at 1e-6, and records
+the same. Prints one line per request that differs and a summary; exits 1
+when any request differs. Standard library only, apart from numpy in the
+corpus.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -29,6 +33,9 @@ from pathlib import Path
 from pairs import ROOT, export, git
 
 WORKLOADS = ("haar-scan", "zoo-prep")
+NEAR_CUTOFF_SEED = 2200
+NEAR_CUTOFF_TOLS = (1e-9, 1e-6)
+NEAR_CUTOFF = "near-cutoff"  # key prefix of the corpus's requests
 
 
 def digest(data: bytes) -> str:
@@ -45,9 +52,63 @@ def stats(directory: Path) -> dict[Path, tuple[int, int]]:
     return out
 
 
+def near_cutoff_states():
+    """(label, dims, amplitudes) of fixed even-n states whose cuts sit at the
+    rank cutoff: a product of Haar states on ``split`` random parties and
+    on the rest, plus a Haar admixture of 0.5 to 2 times a cutoff in
+    NEAR_CUTOFF_TOLS, for (2,)*6, (2, 3)*3 and (3,)*4 with split 2 and
+    n/2. Built with numpy alone, so both trees classify the same bytes."""
+    import numpy as np
+
+    rng = np.random.default_rng(NEAR_CUTOFF_SEED)
+
+    def haar(size):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return z / np.linalg.norm(z)
+
+    out = []
+    for dims in ((2,) * 6, (2, 3) * 3, (3,) * 4):
+        n = len(dims)
+        for split in sorted({2, n // 2}):
+            for scale in NEAR_CUTOFF_TOLS:
+                for factor in (0.5, 0.9, 1.1, 2.0):
+                    perm = rng.permutation(n)
+                    left = [dims[p] for p in perm[:split]]
+                    right = [dims[p] for p in perm[split:]]
+                    planted = np.multiply.outer(
+                        haar(math.prod(left)).reshape(left), haar(math.prod(right)).reshape(right)
+                    ).transpose(np.argsort(perm))
+                    amps = planted.reshape(-1) + factor * scale * haar(math.prod(dims))
+                    amps /= np.linalg.norm(amps)
+                    label = f"{'x'.join(map(str, dims))} split={split} {factor}x{scale:g}"
+                    out.append((label, dims, amps))
+    return out
+
+
+def run_request(argv, work: Path) -> dict:
+    """Exit code, stdout hash and hashes of the files written under ``work``
+    of one ``kcge.cli.main(argv)``."""
+    from kcge import cli
+
+    before = stats(work)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # noqa: BLE001  (recorded, then compared)
+            code = f"raised {type(exc).__name__}"
+    written = sorted(p for p, st in stats(work).items() if before.get(p) != st)
+    return {
+        "exit": code,
+        "stdout": digest(stdout.getvalue().encode()),
+        "files": {str(p.relative_to(work)): digest(p.read_bytes()) for p in written},
+    }
+
+
 def hash_tree(seeds: list[int]) -> dict[str, dict]:
-    """Run the CLI requests of this checkout; keyed by workload, seed,
-    position in the cycle, kind and label. Run with ``src/`` and
+    """Run the CLI requests of this checkout, keyed by workload, seed,
+    position in the cycle, kind and label, then the near-cutoff corpus,
+    keyed by NEAR_CUTOFF, state label and cutoff. Run with ``src/`` and
     ``perfbench/`` on the import path."""
     import workloads
 
@@ -62,20 +123,17 @@ def hash_tree(seeds: list[int]) -> dict[str, dict]:
                     argv = inspect.getclosurevars(req.call).nonlocals.get("argv")
                     if argv is None:
                         continue
-                    before = stats(work)
-                    stdout = io.StringIO()
-                    with contextlib.redirect_stdout(stdout):
-                        try:
-                            code = workloads.cli.main(argv)
-                        except Exception as exc:  # noqa: BLE001  (recorded, then compared)
-                            code = f"raised {type(exc).__name__}"
-                    written = sorted(p for p, st in stats(work).items() if before.get(p) != st)
                     key = f"{workload} seed={seed} #{i} {req.kind} {req.label}".rstrip()
-                    results[key] = {
-                        "exit": code,
-                        "stdout": digest(stdout.getvalue().encode()),
-                        "files": {str(p.relative_to(work)): digest(p.read_bytes()) for p in written},
-                    }
+                    results[key] = run_request(argv, work)
+    with tempfile.TemporaryDirectory(prefix="kcge-same-") as work:
+        work = Path(work)
+        for label, dims, amps in near_cutoff_states():
+            path = work / "state.json"
+            amps = [[float(a.real), float(a.imag)] for a in amps]
+            path.write_text(json.dumps({"dims": list(dims), "amps": amps}))
+            for tol in NEAR_CUTOFF_TOLS:
+                argv = ["classify", "--state", str(path), "--tol", repr(tol)]
+                results[f"{NEAR_CUTOFF} {label} tol={tol:g}"] = run_request(argv, work)
     return results
 
 
@@ -113,8 +171,11 @@ def main(argv=None):
         fields = [f for f in ("exit", "stdout", "files")
                   if (parent.get(key) or {}).get(f) != (change.get(key) or {}).get(f)]
         print(f"DIFFERS {key}: {', '.join(fields)}")
-    print(f"{len(change)} CLI requests against {parent_rev[:12]} (seeds {args.seeds}): "
-          f"{len(differ)} differ")
+    near = sum(k.startswith(NEAR_CUTOFF) for k in change)
+    near_differ = sum(k.startswith(NEAR_CUTOFF) for k in differ)
+    print(f"{len(change) - near} CLI requests against {parent_rev[:12]} (seeds {args.seeds}): "
+          f"{len(differ) - near_differ} differ; {near} near-cutoff classify requests: "
+          f"{near_differ} differ")
     return 1 if differ else 0
 
 

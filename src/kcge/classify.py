@@ -39,6 +39,18 @@ read from the tensor without building the matrix; a failing subset still
 gets its exact rank as ``witness_rank`` (proof in the ``schmidt_rank``
 docstring).
 
+For a pure state rank(I) = rank(I^c): the matrix of I^c is M_I
+transposed. At the top level k = n/2 of even n, the subsets that hold
+party 0 come first in combinations order, and every later subset is the
+complement of one of them. ``schmidt_rank`` keeps each certificate it
+completes on the state, keyed by the side holding party 0, so such a
+complement is still one call but reads its answer from that record
+without a factorization whenever its cap is within the certified count
+(exact, not approximate; see ``schmidt_rank``). A complement with a larger
+cap (mixed dims) or whose partner fell back to the SVD is computed as
+before, so the scan order and the witness, the lexicographically first
+failing subset, stay the same.
+
 A state fixed by every party permutation needs one subset per level. The
 swap (0 1) and the cycle (0 1 ... n-1) generate S_n, so when all dims are
 equal and the amplitude tensor equals its transpose under both, byte for

@@ -64,13 +64,20 @@ class PartySubset:
     n: int
 
     def __post_init__(self):
-        members = tuple(int(p) for p in self.members)
+        members = tuple(map(int, self.members))
         object.__setattr__(self, "members", members)
         if not members:
             raise ValueError("party subset must be nonempty")
-        if any(p < 0 or p >= self.n for p in members):
+        # One pass over the pairs; strictly increasing members are in range
+        # when their ends are, and only a disordered subset needs a second.
+        ordered = all(map(operator.lt, members, members[1:]))
+        if ordered:
+            in_range = members[0] >= 0 and members[-1] < self.n
+        else:
+            in_range = all(0 <= p < self.n for p in members)
+        if not in_range:
             raise ValueError(f"party indices {members} out of range for n={self.n}")
-        if any(a >= b for a, b in zip(members, members[1:])):
+        if not ordered:
             raise ValueError(f"party indices must be strictly increasing, got {members}")
 
     @classmethod
@@ -78,7 +85,7 @@ class PartySubset:
         """Build a subset from any iterable of indices, sorting and deduplicating."""
         return cls(tuple(sorted(set(int(p) for p in members))), n)
 
-    @property
+    @cached_property
     def complement(self) -> tuple[int, ...]:
         inside = set(self.members)
         return tuple(p for p in range(self.n) if p not in inside)
@@ -193,6 +200,15 @@ class PureState:
         """|psi|^2 as one sum over every amplitude: the squared Frobenius
         norm of every bipartite matrix, compacted or not."""
         return float(np.vdot(self.amps, self.amps).real)
+
+    @cached_property
+    def rank_certificates(self) -> dict[tuple[tuple[int, ...], float], tuple[int, int]]:
+        """``schmidt_rank``'s record of its Cholesky certificates: (side of
+        the cut that holds party 0, rho) -> (c, short), where rank >= c was
+        certified at that rho and short is the short side of the block
+        factored (compacted on states with a zero amplitude). Either side of
+        the cut reads it; see ``schmidt_rank``."""
+        return {}
 
     @cached_property
     def permutation_symmetric(self) -> bool:
@@ -486,10 +502,31 @@ def schmidt_rank(
     cutoffs long before it outgrows B's; when c = m, B is all of M. If both
     factorizations fail, the SVD of the cut's matrix (compacted, not
     transposed) decides, and the result min(rank, cap) is the exact rank
-    whenever the rank is below ``cap``."""
+    whenever the rank is below ``cap``.
+
+    Each certificate that completes is stored as (c, m) in
+    ``state.rank_certificates``, keyed by the side of the cut that holds
+    party 0 and by rho. Before any gather, a call on either side of that
+    cut takes want = min(cap, m) (m without a cap) and returns want when
+    the stored c >= want. The matrix of the other side is M^T, with the
+    same singular values and, compacted, the same short side m, so the
+    stored certificate proves sigma_want(M^T) >= sigma_c(M^T) > rho |M|_F
+    just as it does for M. That is the premise of the last bullet for this
+    call's cutoff too, whose rho is the same number, so this call's own
+    path (its certificate, or else its SVD count) would return want as
+    well. A rank decided by the SVD is never stored: M and M^T can round
+    differently near the cutoff."""
     if cap is not None and cap < 1:
         raise ValueError(f"cap={cap} must be at least 1")
     _require_proper(cut, state.n, "schmidt rank")
+    rho = max(FULL_RANK_MARGIN, 2.0 * tol.rank_cutoff)
+    key = (cut.members if cut.members[0] == 0 else cut.complement, rho)
+    known = state.rank_certificates.get(key)
+    if known is not None:
+        certified, short = known
+        want = short if cap is None else min(cap, short)
+        if certified >= want:
+            return want
     if state.nonzero_count < state.total_dim:
         mat = bipartite_matrix(state, cut)
         rows, cols = mat.any(axis=1), mat.any(axis=0)
@@ -509,9 +546,9 @@ def schmidt_rank(
         c = short if cap is None else min(cap, short)
         view = state.as_tensor().transpose(members + rest)
         lead = _leading_rows(view, len(members), c)
-    rho = max(FULL_RANK_MARGIN, 2.0 * tol.rank_cutoff)
     shift = (rho**2 + 2 * (state.total_dim + long_ + c) * _EPS) * state.norm_squared
     if _certifies(lead[:, :c], shift) or (long_ > c and _certifies(lead, shift)):
+        state.rank_certificates[key] = (c, short)
         return c
     if mat is None:
         mat = bipartite_matrix(state, cut)

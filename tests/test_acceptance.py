@@ -207,7 +207,9 @@ def test_criterion_4_cap_and_hierarchy_on_random_states():
         st = haar_state((2,) * n, rng)
         level = classify(st).max_cge_level
         cap_ok &= level <= n // 2
-        verdicts = [is_k_cge(st, k).is_cge for k in range(1, n // 2 + 1)]
+        # A fresh copy, so the sweep reads no certificate that classify left.
+        fresh = PureState(st.dims, st.amps)
+        verdicts = [is_k_cge(fresh, k).is_cge for k in range(1, n // 2 + 1)]
         for low, high in zip(verdicts, verdicts[1:]):
             hierarchy_ok &= low or not high
         # classify agrees with the independent per-level sweep

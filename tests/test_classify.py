@@ -35,7 +35,7 @@ from kcge import (
 from kcge.classify import SUBSET_BUDGET, level_subsets
 from kcge.core import FULL_RANK_MARGIN
 from kcge.errors import BudgetExceededError
-from kcge.network import chain_network, complete_network, star_network
+from kcge.network import chain_network, complete_network, cycle_network, star_network
 
 from oracles import brute_classify, svd_rank
 
@@ -81,7 +81,9 @@ def planted_product(dims, split, rng):
 
 def upward_levels(st, max_k=None, tol=Tolerance()):
     """Reference verdicts: is_k_cge level by level from k=1, stopping at the
-    first failure; the levels above it are marked implied."""
+    first failure; the levels above it are marked implied. It scans a fresh
+    copy of ``st``, so it shares no rank certificate with the subject."""
+    st = PureState(st.dims, st.amps)
     k_cap = st.n // 2 if max_k is None else min(st.n // 2, max_k)
     out = []
     for k in range(1, k_cap + 1):
@@ -360,8 +362,10 @@ class TestClassify:
         # per subset of size n/2, in level_subsets order. On Haar cuts the
         # capped certificate answers every call from threshold + 1 rows
         # without an SVD: 9 x 9 factorizations for 2^8, whose threshold is
-        # 2^3, and 10 x 10 for 3^6, whose threshold is 3^2. Dicke cuts are
-        # rank deficient and fall back to the SVD.
+        # 2^3, and 10 x 10 for 3^6, whose threshold is 3^2. Only the
+        # C(n-1, n/2-1) subsets that hold party 0 factor; each later subset
+        # is the complement of one of them and reads its certificate from
+        # the state. Dicke cuts are rank deficient and fall back to the SVD.
         seen = record_scan(monkeypatch)
         linalg = counted_linalg(monkeypatch)
         for dims, cap in [((2,) * 8, 9), ((3,) * 6, 10)]:
@@ -371,7 +375,7 @@ class TestClassify:
             st = haar_state(dims, RNG)
             assert classify(st).max_cge_level == n // 2
             assert seen.cuts == scanned(st, n // 2)
-            assert linalg.cholesky == [((cap, cap), True)] * math.comb(n, n // 2)
+            assert linalg.cholesky == [((cap, cap), True)] * math.comb(n - 1, n // 2 - 1)
         assert linalg.svds == 0
         assert classify(dicke(8, 2, 4)).max_cge_level == 2
         assert linalg.svds
@@ -386,8 +390,10 @@ class TestClassify:
         cases = [(st, tol, max_k) for st, tol in certificate_corpus(RNG) for max_k in (None, 1, 2)]
 
         def reports():
+            # Fresh states, so no run reads certificates of an earlier one.
             return [
-                json.dumps(classify(st, tol, max_k=max_k).to_dict(), sort_keys=True)
+                json.dumps(classify(PureState(st.dims, st.amps), tol, max_k=max_k).to_dict(),
+                           sort_keys=True)
                 for st, tol, max_k in cases
             ]
 
@@ -429,9 +435,10 @@ class TestClassify:
 class TestCappedRank:
     def test_capped_rank_is_the_svd_rank_capped(self, monkeypatch):
         # For every cap from 1 to one past the short side, on every proper
-        # cut, wide and tall: min(full-matrix SVD rank, cap). The corpus
-        # must take the capped certificate both ways, so both the early
-        # return and the fall-through are checked.
+        # cut, wide and tall: min(full-matrix SVD rank, cap), also where the
+        # state's record of certificates answers without a factorization.
+        # The corpus must take the capped certificate both ways, so both the
+        # early return and the fall-through are checked.
         seen = counted_linalg(monkeypatch)
         corpus = certificate_corpus(RNG) + [(dicke(5, 2, 2), Tolerance())]
         capped_outcomes = set()
@@ -445,7 +452,7 @@ class TestCappedRank:
                     for cap in range(1, short + 2):
                         seen.cholesky.clear()
                         assert schmidt_rank(st, cut, tol, cap=cap) == min(want, cap)
-                        if cap < short and seen.cholesky[0][0] == (cap, cap):
+                        if cap < short and seen.cholesky and seen.cholesky[0][0] == (cap, cap):
                             capped_outcomes.add(seen.cholesky[0][1])
         assert capped_outcomes == {True, False}
 
@@ -525,6 +532,109 @@ class TestCappedRank:
         for cap in (0, -3):
             with pytest.raises(ValueError, match="cap"):
                 schmidt_rank(st, PartySubset((0, 1), 4), cap=cap)
+
+
+def rank_and_work(seen, st, members, tol=Tolerance(), cap=None):
+    """schmidt_rank of ``st`` across ``members`` with the Cholesky calls and
+    the SVD count that it took."""
+    seen.cholesky.clear()
+    seen.svds = 0
+    rank = schmidt_rank(st, PartySubset(members, st.n), tol, cap=cap)
+    return rank, list(seen.cholesky), seen.svds
+
+
+class TestCertificateRecord:
+    # schmidt_rank keeps each completed certificate on the state, keyed by
+    # the side of the cut that holds party 0, and either side of the cut
+    # reads it. Every answer is checked against the full-matrix SVD oracle.
+
+    def test_complement_within_the_stored_count_runs_no_factorization(self, monkeypatch):
+        seen = counted_linalg(monkeypatch)
+        st = haar_state((2,) * 6, RNG)
+        want = svd_rank(st.amps, st.dims, (0, 1, 2))
+        assert want == 8
+        assert rank_and_work(seen, st, (0, 1, 2), cap=5) == (5, [((5, 5), True)], 0)
+        assert st.rank_certificates == {((0, 1, 2), FULL_RANK_MARGIN): (5, 8)}
+        for cap in (1, 3, 5):
+            assert rank_and_work(seen, st, (3, 4, 5), cap=cap) == (min(want, cap), [], 0)
+        # The cut itself reads the record too, at any cap within it.
+        assert rank_and_work(seen, st, (0, 1, 2), cap=4) == (4, [], 0)
+        # A cap above the stored count factors again and raises the record.
+        assert rank_and_work(seen, st, (3, 4, 5)) == (want, [((8, 8), True)], 0)
+        assert st.rank_certificates == {((0, 1, 2), FULL_RANK_MARGIN): (8, 8)}
+        assert rank_and_work(seen, st, (0, 1, 2)) == (want, [], 0)
+
+    def test_mixed_dims_complement_with_a_larger_cap_is_recomputed(self, monkeypatch):
+        # dims (2, 2, 3, 3): {0, 1} has threshold 2 (cap 3) and its
+        # complement {2, 3} threshold 3 (cap 4); the short side is 4.
+        seen = counted_linalg(monkeypatch)
+        for _ in range(3):
+            st = haar_state((2, 2, 3, 3), RNG)
+            want = svd_rank(st.amps, st.dims, (2, 3))
+            assert want == 4
+            assert subset_threshold(st.dims, (0, 1)) == 2 and subset_threshold(st.dims, (2, 3)) == 3
+            assert rank_and_work(seen, st, (0, 1), cap=3)[0] == 3
+            assert st.rank_certificates[((0, 1), FULL_RANK_MARGIN)] == (3, 4)
+            rank, cholesky, svds = rank_and_work(seen, st, (2, 3), cap=4)
+            assert rank == want and cholesky[0][0] == (4, 4) and svds == 0
+            assert st.rank_certificates[((0, 1), FULL_RANK_MARGIN)] == (4, 4)
+            # The level scan reaches the same verdict as on a fresh copy.
+            fresh = PureState(st.dims, st.amps)
+            assert is_k_cge(st, 2) == is_k_cge(fresh, 2)
+            assert classify(st).max_cge_level == brute_classify(st.amps, st.dims, rank=svd_rank)
+
+    def test_a_certificate_answers_no_call_at_another_rho(self, monkeypatch):
+        seen = counted_linalg(monkeypatch)
+        st = haar_state((2,) * 6, RNG)
+        assert rank_and_work(seen, st, (0, 1, 2))[:2] == (8, [((8, 8), True)])
+        # rank cutoff 1e-6 has the same rho, max(FULL_RANK_MARGIN, 2e-6).
+        same_rho = Tolerance(rank_cutoff=1e-6)
+        assert rank_and_work(seen, st, (3, 4, 5), same_rho) == (8, [], 0)
+        for cutoff in (1e-4, 1e-2):
+            tol = Tolerance(rank_cutoff=cutoff)
+            rank, cholesky, _ = rank_and_work(seen, st, (3, 4, 5), tol)
+            assert rank == svd_rank(st.amps, st.dims, (3, 4, 5), cutoff)
+            assert cholesky
+        assert set(st.rank_certificates) <= {
+            ((0, 1, 2), rho) for rho in (FULL_RANK_MARGIN, 2e-4, 2e-2)
+        }
+
+    def test_a_pass_decided_by_the_svd_is_never_stored(self, monkeypatch):
+        # As in test_dependent_leading_rows_fall_back: rows 0 and 1 of the
+        # 8 x 16 matrix of {0, 1, 2} are parallel, so both factorizations
+        # are refused at every cap from 2 to 7 and the SVD passes the cut.
+        # The complement's short-side block is the same 8 x 16 matrix, so it
+        # is refused both factorizations again and runs its own SVD.
+        mat = RNG.standard_normal((8, 16)) + 1j * RNG.standard_normal((8, 16))
+        mat[1] = -1j * mat[0]
+        st = PureState((2,) * 7, mat.reshape(-1) / np.linalg.norm(mat))
+        assert svd_rank(st.amps, st.dims, (0, 1, 2)) == 7
+        seen = counted_linalg(monkeypatch)
+        refused = [((5, 5), False), ((5, 5), False)]
+        assert rank_and_work(seen, st, (0, 1, 2), cap=5) == (5, refused, 1)
+        assert st.rank_certificates == {}
+        assert rank_and_work(seen, st, (3, 4, 5, 6), cap=5) == (5, refused, 1)
+        assert st.rank_certificates == {}
+
+    def test_sparse_network_state_reports_its_compacted_full_rank(self, monkeypatch):
+        # A 4-cycle whose qutrit edges hold (|00> + |11>) / sqrt 2: party dims
+        # 9, so the matrix of {0, 2} | {1, 3} is 81 x 81, but each crossing
+        # edge has 2 nonzero rows and columns, and the compacted 16 x 16
+        # block has full rank 16.
+        edge = np.zeros(9)
+        edge[[0, 4]] = 2**-0.5
+        graph = cycle_network(4, dim=3)
+        st = network_joint_state(graph, [PureState((3, 3), edge)] * len(graph.edge_units()))
+        assert st.dims == (9,) * 4 and st.nonzero_count == 16
+        want = svd_rank(st.amps, st.dims, (1, 3))
+        assert want == 16
+        seen = counted_linalg(monkeypatch)
+        assert rank_and_work(seen, st, (0, 2)) == (16, [((16, 16), True)], 0)
+        assert st.rank_certificates == {((0, 2), FULL_RANK_MARGIN): (16, 16)}
+        for cap in (None, 10, 16, 17, 81):
+            want_capped = want if cap is None else min(want, cap)
+            assert rank_and_work(seen, st, (1, 3), cap=cap) == (want_capped, [], 0)
+        assert classify(st).max_cge_level == brute_classify(st.amps, st.dims, rank=svd_rank)
 
 
 class TestBiseparable:
@@ -636,7 +746,8 @@ class TestPermutationSymmetricShortcut:
         shortcut = [(classify(st).to_dict(), classify(st, tight).to_dict()) for st in corpus]
         assert all(st.permutation_symmetric for st in corpus)
         monkeypatch.setattr(PureState, "permutation_symmetric", property(lambda state: False))
-        full = [(classify(st).to_dict(), classify(st, tight).to_dict()) for st in corpus]
+        fresh = [PureState(st.dims, st.amps) for st in corpus]
+        full = [(classify(st).to_dict(), classify(st, tight).to_dict()) for st in fresh]
         assert json.dumps(shortcut) == json.dumps(full)
 
     def test_one_ulp_off_takes_the_full_scan_and_agrees(self, monkeypatch):

@@ -314,7 +314,8 @@ class TestSchmidt:
             size = int(RNG.integers(1, n))
             cut = sub(RNG.choice(n, size=size, replace=False), n)
             comp = PartySubset(cut.complement, n)
-            assert schmidt_rank(st, cut) == schmidt_rank(st, comp)
+            # A fresh copy, so the complement cannot read the cut's certificate.
+            assert schmidt_rank(st, cut) == schmidt_rank(PureState(st.dims, st.amps), comp)
 
     def test_reconstruction(self):
         for _ in range(20):
