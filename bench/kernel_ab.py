@@ -5,10 +5,23 @@
 Exports the committed files of the parent revision with ``git archive``, as
 ``bench/pairs.py`` does, and imports both trees' ``kcge`` side by side under
 the package names ``kcge_parent`` and ``kcge_change``. Then it times
-``classify`` on one Haar state of each haar-scan size, weighted by the
-number of requests of that size in one haar-scan cycle, and on three Haar
-states at larger rank cutoffs, where the rank certificate fails more often.
-Each repeat builds a fresh state on each side from the same amplitudes
+``classify`` on five groups of states:
+
+* ``haar-scan``: one Haar state of each haar-scan size, weighted by the
+  number of requests of that size in one haar-scan cycle;
+* ``cutoffs``: three Haar states at larger rank cutoffs, where the rank
+  certificate fails more often;
+* ``zoo classify``: the 15 family states that zoo-prep generates and
+  classifies;
+* ``zoo cross-check``: the joint states of zoo-prep's 10 ``cross-check``
+  requests, half with random edge states;
+* ``one zero``: Haar 2^10 and 2^12 with one amplitude set to zero, which
+  sends every cut down the kernel's path for states with zeros.
+
+Haar states never reach that path or the certificate of full rows, so only
+the last three groups show a change there. The zoo-prep states are built
+from the inputs that ``perfbench/workloads.py`` writes at SEED, each side
+with its own ``kcge``. Each repeat builds a fresh state on each side
 (outside the timed region, so facts a state keeps are computed inside it),
 times the two sides back to back with the first side alternating, and
 checks that both reports are equal, REPEATS times per case. Interleaving
@@ -16,8 +29,9 @@ in one process cancels the drift of a shared machine's speed between runs.
 
 The result goes to ``BENCH_kernel.json``: both revisions, the machine facts
 that ``bench/pairs.py`` records, per case the best and median milliseconds
-of each side and the ratio of the medians, and per side the haar-scan cycle
-sum of weight times best and of weight times median.
+of each side and the ratio of the medians, per side the haar-scan cycle
+sum of weight times best and of weight times median, and per group and
+side the sum of the case medians.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import re
 import statistics
 import sys
 import tempfile
@@ -44,8 +59,9 @@ from run import machine_facts  # noqa: E402
 # (dims, rank cutoff): larger cutoffs than the default 1e-9, where the
 # certificate's margin rho = 2 cutoff outgrows a square block's sigma_min.
 EXTRA_CASES = (((3,) * 8, 1e-4), ((2,) * 14, 1e-6), ((2, 3) * 5, 1e-4))
+ONE_ZERO_DIMS = ((2,) * 10, (2,) * 12)
 REPEATS = 15
-SEED = 2100  # of the amplitudes and of the haar-scan request cycle
+SEED = 2100  # of the amplitudes and of both workloads' inputs
 
 
 def load(tree: str, name: str):
@@ -65,10 +81,37 @@ def haar_mix(seed: int) -> list[tuple[tuple[int, ...], int]]:
     labels of its request cycle."""
     with tempfile.TemporaryDirectory(prefix="kcge-ab-") as work:
         labels = Counter(req.label for req in workloads.build("haar-scan", seed, work))
-    return [(tuple(int(d) for d in label.split("x")), count) for label, count in labels.items()]
+    return [(tuple(map(int, label.split("x"))), count) for label, count in labels.items()]
 
 
-def time_case(sides, amps, dims, cutoff):
+def zoo_inputs(seed: int):
+    """(label, build(kcge)) of zoo-prep's classified family states and its
+    cross-check joint states, from the JSON inputs the workload writes."""
+    cases = {"zoo classify": [], "zoo cross-check": []}
+    with tempfile.TemporaryDirectory(prefix="kcge-ab-") as work:
+        workloads.build("zoo-prep", seed, work)
+        index = lambda path: int(re.search(r"-(\d+)\.", path.name)[1])  # noqa: E731
+        for path in sorted(Path(work).glob("*.family.json"), key=index):
+            spec = json.loads(path.read_text())
+            label = path.name.split("-")[0]
+            cases["zoo classify"].append(
+                (label, lambda kcge, spec=spec: kcge.family_from_dict(spec).build())
+            )
+        for path in sorted(Path(work).glob("cross-*[0-9].json"), key=index):
+            graph = json.loads(path.read_text())
+            states_path = path.with_suffix(".states.json")
+            states = json.loads(states_path.read_text()) if states_path.exists() else None
+
+            def build(kcge, graph=graph, states=states):
+                edges = None if states is None else [kcge.state_from_dict(s) for s in states]
+                return kcge.network_joint_state(kcge.NetworkGraph.from_dict(graph), edges)
+
+            label = f"cross{index(path)}" + ("-states" if states else "")
+            cases["zoo cross-check"].append((label, build))
+    return cases
+
+
+def time_case(sides, build, cutoff, label):
     """Milliseconds of each side's ``classify`` per repeat."""
     times = {name: [] for name in sides}
     for i in range(REPEATS):
@@ -76,15 +119,24 @@ def time_case(sides, amps, dims, cutoff):
         reports = {}
         for name in order:
             kcge = sides[name]
-            state = kcge.PureState(dims, amps)
+            state = build(kcge)
             tol = kcge.Tolerance(rank_cutoff=cutoff)
             start = time.perf_counter()
             report = kcge.classify(state, tol)
             times[name].append((time.perf_counter() - start) * 1e3)
             reports[name] = json.dumps(report.to_dict(), sort_keys=True)
         if len(set(reports.values())) != 1:
-            raise RuntimeError(f"reports differ on {dims} at cutoff {cutoff}: {reports}")
+            raise RuntimeError(f"reports differ on {label} at cutoff {cutoff}: {reports}")
     return times
+
+
+def haar_build(rng, dims, zero=False):
+    size = int(np.prod(dims))
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if zero:
+        amps[rng.integers(size)] = 0.0
+    amps /= np.linalg.norm(amps)
+    return lambda kcge: kcge.PureState(dims, amps)
 
 
 def main(argv=None):
@@ -97,19 +149,23 @@ def main(argv=None):
         "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
     }
     rng = np.random.default_rng(SEED)
-    cases = [(dims, 1e-9, weight) for dims, weight in haar_mix(SEED)]
-    cases += [(dims, cutoff, 0) for dims, cutoff in EXTRA_CASES]
+    # (group, label, build, rank cutoff, haar-scan weight)
+    cases = [("haar-scan", "x".join(map(str, dims)), haar_build(rng, dims), 1e-9, weight)
+             for dims, weight in haar_mix(SEED)]
+    cases += [("cutoffs", "x".join(map(str, dims)), haar_build(rng, dims), cutoff, 0)
+              for dims, cutoff in EXTRA_CASES]
+    for group, items in zoo_inputs(SEED).items():
+        cases += [(group, label, build, 1e-9, 0) for label, build in items]
+    cases += [("one zero", "x".join(map(str, dims)), haar_build(rng, dims, zero=True), 1e-9, 0)
+              for dims in ONE_ZERO_DIMS]
 
     results = []
     with tempfile.TemporaryDirectory(prefix="kcge-parent-") as parent_tree:
         export(parent_rev, parent_tree)
         sides = {"parent": load(parent_tree, "kcge_parent"), "change": load(str(ROOT), "kcge_change")}
-        for dims, cutoff, weight in cases:
-            size = int(np.prod(dims))
-            amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            amps /= np.linalg.norm(amps)
-            times = time_case(sides, amps, dims, cutoff)
-            row = {"dims": list(dims), "rank_cutoff": cutoff, "weight": weight}
+        for group, label, build, cutoff, weight in cases:
+            times = time_case(sides, build, cutoff, label)
+            row = {"group": group, "label": label, "rank_cutoff": cutoff, "weight": weight}
             for name, values in times.items():
                 row[name] = {"best_ms": min(values), "median_ms": statistics.median(values)}
             row["median_ratio"] = row["change"]["median_ms"] / row["parent"]["median_ms"]
@@ -123,6 +179,14 @@ def main(argv=None):
         }
         for name in ("parent", "change")
     }
+    groups = {}
+    for r in results:
+        group = groups.setdefault(r["group"], {"cases": 0, "parent": 0.0, "change": 0.0})
+        group["cases"] += 1
+        for name in ("parent", "change"):
+            group[name] += r[name]["median_ms"]
+    for group in groups.values():
+        group["ratio"] = group["change"] / group["parent"]
     facts = machine_facts(SimpleNamespace(workload="haar-scan", seed=SEED))
     report = {
         "parent_revision": parent_rev,
@@ -131,6 +195,7 @@ def main(argv=None):
         "seed": SEED,
         "facts": {k: v for k, v in facts.items() if k not in ("workload", "seed", "git_revision")},
         "haar_scan_cycle_ms": cycle,
+        "group_median_sum_ms": groups,
         "cases": results,
     }
     (ROOT / "BENCH_kernel.json").write_text(json.dumps(report, indent=2) + "\n")

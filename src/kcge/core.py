@@ -64,7 +64,7 @@ class PartySubset:
     n: int
 
     def __post_init__(self):
-        members = tuple(map(int, self.members))
+        members = tuple(map(operator.index, self.members))
         object.__setattr__(self, "members", members)
         if not members:
             raise ValueError("party subset must be nonempty")
@@ -83,7 +83,7 @@ class PartySubset:
     @classmethod
     def of(cls, members: Sequence[int], n: int) -> "PartySubset":
         """Build a subset from any iterable of indices, sorting and deduplicating."""
-        return cls(tuple(sorted(set(int(p) for p in members))), n)
+        return cls(tuple(sorted(set(map(operator.index, members)))), n)
 
     @cached_property
     def complement(self) -> tuple[int, ...]:
@@ -117,6 +117,18 @@ def _as_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _checked_dims(dims: Iterable, name: str = "dims entry") -> tuple[int, ...]:
+    """The dims rule: ``dims`` as a tuple of ints. An empty tuple, and any
+    entry that is not an integer (``_as_int`` under ``name``) or is below 2,
+    raise ValueError."""
+    dims = tuple(_as_int(d, name) for d in dims)
+    if not dims:
+        raise ValueError("a state needs at least one party")
+    if min(dims) < 2:
+        raise ValueError(f"local dimensions must be at least 2, got {dims}")
+    return dims
+
+
 def _require_finite(
     arr: np.ndarray, what: str, entries: str = "amplitudes", name: str = "amps"
 ) -> None:
@@ -126,18 +138,24 @@ def _require_finite(
         raise ValueError(f"{what}: non-finite {entries} {named}")
 
 
-def _require_size(dims: tuple[int, ...], size: int, what: str) -> None:
-    """Refuse ``size`` amplitudes unless it equals prod(dims), stopping at the
-    first party that takes the running product past ``size``."""
-    total = 1
+def _running_product(dims: Iterable[int], limit: int) -> tuple[int, int]:
+    """(count, product) of the leading dims up to the first that takes the
+    running product past ``limit``, or of all dims when none does."""
+    count, total = 0, 1
     for count, d in enumerate(dims, start=1):
         total *= d
-        if total > size:
-            raise ValueError(
-                f"{what}: {size} amplitudes, but the first {count} dims already give {total}"
-            )
+        if total > limit:
+            break
+    return count, total
+
+
+def _require_size(dims: tuple[int, ...], size: int, what: str) -> None:
+    """Refuse ``size`` amplitudes unless it equals prod(dims)."""
+    count, total = _running_product(dims, size)
     if total != size:
-        raise ValueError(f"{what}: {size} amplitudes, expected prod(dims)={total}")
+        why = (f"but the first {count} dims already give {total}" if total > size
+               else f"expected prod(dims)={total}")
+        raise ValueError(f"{what}: {size} amplitudes, {why}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -159,12 +177,8 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(_as_int(d, "dims entry") for d in self.dims)
+        dims = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("a state needs at least one party")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"local dimensions must be at least 2, got {dims}")
         amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
         _require_size(dims, amps.size, "state")
         _require_finite(amps, "state")
@@ -283,7 +297,7 @@ class DensityMatrix:
     check_psd: InitVar[bool] = True
 
     def __post_init__(self, check_psd: bool):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         mat = np.asarray(self.matrix, dtype=np.complex128)
         side = math.prod(dims)
@@ -340,7 +354,7 @@ class SchmidtDecomposition:
         object.__setattr__(self, "coefficients", _freeze(np.asarray(self.coefficients, float)))
         object.__setattr__(self, "basis_cut", _freeze(np.asarray(self.basis_cut, complex)))
         object.__setattr__(self, "basis_rest", _freeze(np.asarray(self.basis_rest, complex)))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _checked_dims(self.dims))
 
     def reconstruct(self) -> PureState:
         """Rebuild the state as sum_i sqrt(lambda_i) |u_i> x |v_i>, undoing
@@ -602,8 +616,8 @@ def apply_local_operator(state: PureState, op: np.ndarray, on: PartySubset) -> P
 def expand_to_full(op: np.ndarray, parties: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Embed an operator acting on ``parties`` (in the given order) into the
     full space, identity on every other party."""
-    dims = tuple(int(d) for d in dims)
-    parties = [int(p) for p in parties]
+    dims = _checked_dims(dims)
+    parties = list(map(operator.index, parties))
     if len(set(parties)) != len(parties):
         raise ValueError(f"repeated party in {parties}")
     others = [p for p in range(len(dims)) if p not in set(parties)]
@@ -611,20 +625,15 @@ def expand_to_full(op: np.ndarray, parties: Sequence[int], dims: Sequence[int]) 
     side = math.prod(dims[p] for p in parties)
     if op.shape != (side, side):
         raise ValueError(f"operator shape {op.shape} does not match parties {parties}")
-    rest = math.prod([dims[p] for p in others]) if others else 1
-    full = np.kron(op, np.eye(rest, dtype=np.complex128))
-    order = parties + others
-    block_dims = tuple(dims[p] for p in order)
-    inverse = np.argsort(order)
-    n = len(dims)
-    nd = full.reshape(block_dims + block_dims)
-    nd = nd.transpose(tuple(inverse) + tuple(inverse + n))
-    total = math.prod(dims)
-    return nd.reshape(total, total)
+    full = np.kron(op, np.eye(math.prod(dims[p] for p in others), dtype=np.complex128))
+    block_dims = tuple(dims[p] for p in parties + others)
+    inverse = tuple(np.argsort(parties + others))
+    nd = full.reshape(block_dims * 2).transpose(inverse + tuple(np.add(inverse, len(dims))))
+    return nd.reshape(full.shape)
 
 
 def basis_state(dims: Sequence[int], index: int = 0) -> PureState:
-    dims = tuple(int(d) for d in dims)
+    dims = _checked_dims(dims)
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[index] = 1.0
     return PureState(dims, amps)
@@ -682,7 +691,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
-    dims = tuple(int(d) for d in dims)
+    dims = _checked_dims(dims)
     total = math.prod(dims)
     z = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return PureState(dims, z / np.linalg.norm(z))
@@ -694,16 +703,13 @@ DIM_BUDGET = 2**16
 
 
 def guard_total_dim(dims: Iterable[int], budget: int, what: str) -> None:
-    """Refuse dims whose product exceeds ``budget``, stopping at the first
-    party that takes the running product past it."""
-    total = 1
-    for count, d in enumerate(dims, start=1):
-        total *= int(d)
-        if total > budget:
-            raise BudgetExceededError(
-                f"{what}: total dimension exceeds budget {budget} "
-                f"(the first {count} dims already give {total})"
-            )
+    """Refuse dims whose product exceeds ``budget`` (see ``_running_product``)."""
+    count, total = _running_product(dims, budget)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{what}: total dimension exceeds budget {budget} "
+            f"(the first {count} dims already give {total})"
+        )
 
 
 # --- state JSON format -----------------------------------------------------
@@ -723,7 +729,7 @@ def state_to_dict(state: PureState) -> dict:
 def state_from_dict(obj: dict) -> PureState:
     if not isinstance(obj, dict) or "dims" not in obj or "amps" not in obj:
         raise ValueError("state JSON must be an object with 'dims' and 'amps'")
-    dims = [_as_int(d, "state JSON dims entry") for d in obj["dims"]]
+    dims = _checked_dims(obj["dims"], "state JSON dims entry")
     pairs = obj["amps"]
     amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     _require_size(dims, amps.size, "state JSON")
@@ -731,4 +737,4 @@ def state_from_dict(obj: dict) -> PureState:
     nrm = float(np.linalg.norm(amps))
     if abs(nrm - 1.0) > NORM_ATOL:
         raise ValueError(f"state JSON: norm {nrm!r} deviates from 1 by more than 1e-6")
-    return PureState(tuple(dims), amps / nrm)
+    return PureState(dims, amps / nrm)

@@ -31,6 +31,7 @@ from .core import (
     apply_local_operator,
     basis_change_unitary,
     basis_state,
+    complete_basis,
     expand_to_full,
     is_unitary,
     schmidt,
@@ -106,12 +107,6 @@ class TwoDepthDecomposition:
         return apply_local_operator(st, self.layer2, self.layer2_parties)
 
 
-def _preparing_unitary(vec: np.ndarray) -> np.ndarray:
-    """Unitary that maps |0...0> to the unit vector ``vec``: the completion
-    of ``vec`` to a basis, with ``vec`` as its first column."""
-    return basis_change_unitary(vec.reshape(-1, 1), [0]).conj().T
-
-
 def two_depth_decompose(
     state: PureState,
     tol: Tolerance = DEFAULT_TOLERANCE,
@@ -125,7 +120,8 @@ def two_depth_decompose(
     the pivot sends the first count u_i to |0>_freed x e_i, so U maps the
     state to |0>_freed x |chi>, chi = sum_{i<count} sqrt(lambda_i) e_i x v_i,
     which is built straight from that Schmidt data and is exactly zero at
-    every e_i with i >= count. layer1 prepares chi from the all-zero state and
+    every e_i with i >= count. layer1, the basis completion of chi (chi is
+    its first column), prepares chi from the all-zero state, and
     layer2 = U^dag restores the state. U exists, and so does the
     decomposition, exactly when the pivot cut's rank fits the capacity
     dim(rest) of the parties other than pivot and freed; otherwise a
@@ -138,7 +134,7 @@ def two_depth_decompose(
     if n < 3:
         # Single bipartite unitary: layer1 prepares the state jointly.
         return TwoDepthDecomposition(
-            layer1=_preparing_unitary(state.amps),
+            layer1=complete_basis(state.amps.reshape(-1, 1)),
             layer1_parties=PartySubset(tuple(range(n)), n),
             layer2=np.eye(dims[freed], dtype=np.complex128),
             layer2_parties=PartySubset((freed,), n),
@@ -156,13 +152,20 @@ def two_depth_decompose(
     chi[:count] = np.sqrt(sd.coefficients[:count, None]) * sd.basis_rest[:, :count].T
     chi = np.moveaxis(chi.reshape(rest_dims + (dims[pivot],)), -1, pivot - (pivot > freed))
     return TwoDepthDecomposition(
-        layer1=_preparing_unitary(chi),
+        layer1=complete_basis(chi.reshape(-1, 1)),
         layer1_parties=PartySubset(tuple(p for p in range(n) if p != freed), n),
         layer2=freeing.conj().T,
         layer2_parties=complement,
         pivot=pivot,
         freed=freed,
     )
+
+
+def _require_square_uniform(ops: Sequence[np.ndarray], what: str) -> None:
+    """Refuse ``ops`` unless the first is a square matrix and all share its shape."""
+    shape = ops[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(op.shape != shape for op in ops):
+        raise ValueError(f"{what} must be square and uniform")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,15 +182,11 @@ class BiseparableChannel:
         )
         if not pairs:
             raise ValueError("channel needs at least one Kraus pair")
-        k_shape = pairs[0][0].shape
-        s_shape = pairs[0][1].shape
-        for k, s in pairs:
-            if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape != k_shape:
-                raise ValueError("cut-side Kraus operators must be square and uniform")
-            if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape != s_shape:
-                raise ValueError("complement-side Kraus operators must be square and uniform")
+        _require_square_uniform([k for k, _s in pairs], "cut-side Kraus operators")
+        _require_square_uniform([s for _k, s in pairs], "complement-side Kraus operators")
         object.__setattr__(self, "kraus_pairs", pairs)
-        gram = sum(a.conj().T @ a for a in (np.kron(k, s) for k, s in pairs))
+        # sum (K x S)^H (K x S) = sum K^H K x S^H S: no D x D product.
+        gram = sum(np.kron(k.conj().T @ k, s.conj().T @ s) for k, s in pairs)
         defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
         if defect > CHANNEL_ATOL:
             raise ChannelCompletenessError(
@@ -225,15 +224,11 @@ class KConnectionChannel:
         if not terms:
             raise ValueError("channel needs at least one Kraus term")
         n_out = len(self.cut.complement)
-        shapes = [s.shape for s in terms[0][1]]
         for _k, locals_ in terms:
             if len(locals_) != n_out:
-                raise ValueError(
-                    f"expected {n_out} single-party factors, got {len(locals_)}"
-                )
-            for s, shape in zip(locals_, shapes):
-                if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape != shape:
-                    raise ValueError("single-party Kraus factors must be square and uniform")
+                raise ValueError(f"expected {n_out} single-party factors, got {len(locals_)}")
+        for factors in zip(*(locals_ for _k, locals_ in terms)):
+            _require_square_uniform(factors, "single-party Kraus factors")
         object.__setattr__(self, "kraus_terms", terms)
         product = np.eye(1, dtype=np.complex128)
         pairs = tuple((k, reduce(np.kron, locals_, product)) for k, locals_ in terms)

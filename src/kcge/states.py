@@ -21,7 +21,9 @@ from .core import (
     DIM_BUDGET,
     PureState,
     _as_int,
+    _checked_dims,
     _require_finite,
+    basis_state,
     guard_total_dim,
     state_from_dict,
 )
@@ -187,8 +189,6 @@ def _assemble(n: int, factors: list[_Factor], budget: int, what: str):
     Returns the joint tensor with one axis per slot (party-major target
     order), the per-party slot axis ranges, and the grouped party dims.
     """
-    if n < 1:
-        raise ValueError("need at least one party")
     touched = set()
     for f in factors:
         if len(set(f.parties)) != len(f.parties):
@@ -398,11 +398,9 @@ class StateFamily:
             graph = NetworkGraph.from_dict(p["graph"])
             return network_joint_state(graph, p.get("edge_states"), budget=budget)
         if self.kind == "product":
-            dims = tuple(_as_int(d, "product dims entry") for d in p["dims"])
+            dims = _checked_dims(p["dims"], "product dims entry")
             guard_total_dim(dims, budget, "product")
-            amps = np.zeros(math.prod(dims), dtype=np.complex128)
-            amps[0] = 1.0
-            return PureState(dims, amps)
+            return basis_state(dims)
         raise ValueError(f"unknown family {self.kind!r}")
 
 

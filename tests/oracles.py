@@ -180,6 +180,13 @@ def kraus_apply(rho, full_ops):
     return out
 
 
+def kron_gram_defect(pairs):
+    """max |sum_i (K_i x S_i)^H (K_i x S_i) - I| over the entries, each
+    Kraus term built as its full Kronecker product."""
+    gram = sum(a.conj().T @ a for a in (np.kron(k, s) for k, s in pairs))
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
 def edge_disjoint_paths(n, units, source, sink):
     """Maximum number of edge-disjoint source-sink paths over the expanded
     unit edges, by repeated augmenting BFS on residual capacities."""

@@ -636,6 +636,40 @@ class TestCertificateRecord:
             assert rank_and_work(seen, st, (1, 3), cap=cap) == (want_capped, [], 0)
         assert classify(st).max_cge_level == brute_classify(st.amps, st.dims, rank=svd_rank)
 
+    def test_odd_n_upward_scan_reads_the_certificates_of_a_failed_probe(self, monkeypatch):
+        # 3^7 with rank 9 planted across {4, 5, 6}, the last 3-subset, whose
+        # threshold is 9. The probe at k = 3 certifies the 34 subsets before
+        # it, each stored under the side that holds party 0, and fails
+        # there. Its rho equals the default cutoff's, so the upward scan
+        # answers those 34 at k = 3 from the record and factors only
+        # {4, 5, 6} again.
+        rng = np.random.default_rng(7301)
+        sigma = rng.uniform(0.5, 1.0, size=9)
+        mat = (haar_unitary(81, rng)[:, :9] * sigma) @ haar_unitary(27, rng)[:, :9].T
+        st = PureState((3,) * 7, mat.reshape(-1) / np.linalg.norm(mat))
+        seen = counted_linalg(monkeypatch)
+        module = importlib.import_module("kcge.classify")
+        real_rank, calls = module.schmidt_rank, []
+
+        def rank(state, cut, tol, cap=None):
+            work = len(seen.cholesky) + seen.svds
+            out = real_rank(state, cut, tol, cap=cap)
+            calls.append((cut.members, tol.rank_cutoff, len(seen.cholesky) + seen.svds > work))
+            return out
+
+        monkeypatch.setattr(module, "schmidt_rank", rank)
+        report = classify(st)
+        top = list(combinations(range(7), 3))
+        probe = [(m, worked) for m, cutoff, worked in calls if cutoff != 1e-9]
+        upward = [(m, worked) for m, cutoff, worked in calls if cutoff == 1e-9 and len(m) == 3]
+        assert probe == [(m, True) for m in top]
+        assert [m for m, _ in upward] == top
+        assert [m for m, worked in upward if worked] == [(4, 5, 6)]
+        level3 = report.per_level[2]
+        assert (level3.witness, level3.witness_rank, level3.witness_threshold) == ((4, 5, 6), 9, 9)
+        assert report.max_cge_level == brute_classify(st.amps, st.dims, rank=svd_rank) == 2
+        assert level3.witness == next(m for m in top if svd_rank(st.amps, st.dims, m) <= 9)
+
 
 class TestBiseparable:
     def test_negation_of_is_k_cge(self):

@@ -11,11 +11,13 @@ from kcge import (
     DensityMatrix,
     PartySubset,
     PureState,
+    SchmidtDecomposition,
     Tolerance,
     apply_local_operator,
     basis_state,
     classify,
     expand_to_full,
+    family_from_dict,
     ghz,
     haar_state,
     haar_unitary,
@@ -36,10 +38,11 @@ from kcge.core import (
     guard_total_dim,
 )
 from kcge.disentangle import (
-    _preparing_unitary,
     apply_biseparable_channel,
     identity_biseparable_channel,
+    two_depth_decompose,
 )
+from kcge.cli import main as cli_main
 from kcge.errors import BudgetExceededError
 from kcge.witness import werner_state
 
@@ -101,6 +104,27 @@ class TestTypes:
         assert s.members == (0, 2)
         assert s.complement == (1,)
 
+    def test_party_indices_must_be_integers(self):
+        # Floats are refused, integral or not, never truncated; numpy
+        # integers are accepted and stored as Python ints.
+        for members in ((0.5, 1), (0, 1.0), (np.float64(1.0),)):
+            with pytest.raises(TypeError):
+                PartySubset(members, 3)
+            with pytest.raises(TypeError):
+                PartySubset.of(list(members), 3)
+        with pytest.raises(TypeError):
+            PartySubset.of([1.7, 0], 3)
+        with pytest.raises(TypeError):
+            expand_to_full(np.eye(2), [0.0], (2, 2))
+        for members in (np.array([0, 2]), (np.int64(0), np.int32(2)), (np.uint8(0), 2)):
+            for subset in (PartySubset(tuple(members), 3), PartySubset.of(members, 3)):
+                assert subset.members == (0, 2)
+                assert all(type(p) is int for p in subset.members)
+        op = haar_unitary(3, RNG)
+        assert np.array_equal(
+            expand_to_full(op, np.array([1]), (2, 3)), expand_to_full(op, [1], (2, 3))
+        )
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             Tolerance(rank_cutoff=0.0)
@@ -125,6 +149,67 @@ class TestTypes:
                 DensityMatrix((2,), mat)
 
 
+# The JSON boundaries of the dims rule: (CLI command, input object of dims,
+# field named in the refusal of a fractional entry).
+DIMS_JSON_INPUTS = {
+    "state_from_dict": (
+        ["classify", "--state"],
+        lambda dims: {"dims": list(dims), "amps": [[0.5, 0.0]] * 4},
+        "state JSON dims entry",
+    ),
+    "product family": (
+        ["generate", "--family"],
+        lambda dims: {"family": "product", "dims": list(dims)},
+        "product dims entry",
+    ),
+}
+_AMPS_22 = np.full(4, 0.5 + 0j)
+_SCHMIDT_22 = schmidt(basis_state((2, 2)), PartySubset((0,), 2))
+# Every constructor that applies the dims rule, fed the data of dims (2, 2),
+# so only ``dims`` can be wrong.
+DIMS_RULE_BUILDERS = {
+    "PureState": lambda dims: PureState(dims, _AMPS_22),
+    "DensityMatrix": lambda dims: DensityMatrix(dims, np.eye(4) / 4),
+    "SchmidtDecomposition": lambda dims: SchmidtDecomposition(
+        _SCHMIDT_22.coefficients, _SCHMIDT_22.basis_cut, _SCHMIDT_22.basis_rest,
+        _SCHMIDT_22.rank, _SCHMIDT_22.cut, dims,
+    ),
+    "basis_state": basis_state,
+    "haar_state": lambda dims: haar_state(dims, RNG),
+    "expand_to_full": lambda dims: expand_to_full(np.eye(2), [0], dims),
+    "state_from_dict": lambda dims: state_from_dict(DIMS_JSON_INPUTS["state_from_dict"][1](dims)),
+    "product family": lambda dims: family_from_dict(
+        DIMS_JSON_INPUTS["product family"][1](dims)
+    ).build(),
+}
+
+
+@pytest.mark.parametrize("name", DIMS_RULE_BUILDERS)
+@pytest.mark.parametrize("dims", [(2.0, 2), (2.5, 2), (1, 4), ()], ids=str)
+def test_dims_rule(name, dims, tmp_path, capsys):
+    # At least one party, each dim an integer of at least 2: 2.0 passes as
+    # 2, while 2.5, 1 and an empty tuple raise ValueError at every
+    # constructor, never truncated or let through, and exit 2 through the
+    # CLI with the field named.
+    accepted = dims == (2.0, 2)
+    if accepted:
+        built = DIMS_RULE_BUILDERS[name](dims)
+        if name == "expand_to_full":
+            assert built.shape == (4, 4)
+        else:
+            assert built.dims == (2, 2) and all(type(d) is int for d in built.dims)
+    else:
+        with pytest.raises(ValueError, match="must be an integer|at least one party|at least 2"):
+            DIMS_RULE_BUILDERS[name](dims)
+    if name in DIMS_JSON_INPUTS:
+        argv, obj, field = DIMS_JSON_INPUTS[name]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj(dims)))
+        assert cli_main([*argv, str(path)]) == (0 if accepted else 2)
+        if dims == (2.5, 2):
+            assert f"{field} must be an integer, got 2.5" in capsys.readouterr().err
+
+
 HERMITICITY_SIDES = [1, 2, _HERMITICITY_TILE - 1, _HERMITICITY_TILE, 2 * _HERMITICITY_TILE + 5]
 
 
@@ -142,7 +227,8 @@ class TestHermiticityCheck:
         # The largest asymmetry sits in a corner off the diagonal, in an
         # off-diagonal tile once the side passes the tile, above or below
         # the diagonal; a smaller one sits on the diagonal. A 1 x 1 matrix
-        # is asymmetric by twice its imaginary part.
+        # is asymmetric by twice its imaginary part, but dims (1,) break the
+        # dims rule, which DensityMatrix applies first.
         atol = HERMITICITY_ATOL
         gaps = [(np.nextafter(atol, 0.0), True), (atol, True), (np.nextafter(atol, np.inf), False)]
         corners = [(0, side - 1), (side - 1, 0)] if side > 1 else [(0, 0)]
@@ -155,7 +241,10 @@ class TestHermiticityCheck:
                     mat[0, 0] += 0.25j * atol
                     mat[corner] += gap
                 assert _max_asymmetry(mat) == gap
-                if accepted:
+                if side == 1:
+                    with pytest.raises(ValueError, match="at least 2"):
+                        DensityMatrix((side,), mat)
+                elif accepted:
                     DensityMatrix((side,), mat)
                 else:
                     with pytest.raises(ValueError, match="not Hermitian"):
@@ -684,12 +773,16 @@ class TestOperatorTools:
                 basis_change_unitary(src, rows)
 
     def test_preparing_unitary_is_the_completion_of_the_vector(self):
+        # The unitary that sends e_0 to vec, built as a basis change, is the
+        # completion of vec bit for bit; a two-party decomposition's layer1
+        # is that completion.
         rng = np.random.default_rng(514)
-        for dim in (2, 3, 16, 256):
-            vec = haar_state((dim,), rng).amps
-            ours = _preparing_unitary(vec)
-            assert np.array_equal(ours, complete_basis(vec.reshape(-1, 1)))
+        for dims in ((2, 2), (3, 2), (4, 4), (16, 16)):
+            vec = haar_state(dims, rng).amps
+            ours = complete_basis(vec.reshape(-1, 1))
+            assert np.array_equal(ours, basis_change_unitary(vec.reshape(-1, 1), [0]).conj().T)
             assert np.array_equal(ours[:, 0], vec)
+            assert np.array_equal(two_depth_decompose(PureState(dims, vec)).layer1, ours)
 
 
 class TestStateJson:

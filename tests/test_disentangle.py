@@ -28,11 +28,11 @@ from kcge import (
     two_depth_decompose,
     w_type,
 )
-from kcge.disentangle import identity_biseparable_channel
+from kcge.disentangle import CHANNEL_ATOL, identity_biseparable_channel
 from kcge.errors import ChannelCompletenessError, DisentangleRankError
 from kcge.network import chain_network, star_network
 
-from oracles import kraus_apply, loop_partial_trace, permutation_embed, svd_rank
+from oracles import kraus_apply, kron_gram_defect, loop_partial_trace, permutation_embed, svd_rank
 
 RNG = np.random.default_rng(90125)
 
@@ -283,6 +283,49 @@ class TestChannels:
         out = apply_biseparable_channel(rho, ch)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
         assert out.eigenvalues()[0] > -1e-12
+
+    def test_completeness_is_decided_as_the_kronecker_gram_decides(self):
+        # The channel checks sum K^H K x S^H S, the Kronecker oracle builds
+        # every K x S. Complete families of isometry blocks on each side are
+        # accepted; scaling every cut-side factor by 1 + 1e-8 moves the Gram
+        # matrix by about 2e-8 > CHANNEL_ATOL and is refused, by 1 + 1e-11
+        # about 2e-11 and is accepted.
+        rng = np.random.default_rng(7207)
+
+        def kraus_family(d, count):
+            u = haar_unitary(d * count, rng)
+            return [u[j * d : (j + 1) * d, :d] for j in range(count)]
+
+        cut = sub([0], 2)
+        for cut_dim, rest_dim, counts in [(2, 2, (1, 1)), (4, 8, (2, 3)), (8, 16, (3, 2)),
+                                          (16, 16, (2, 2))]:
+            ks, ss = kraus_family(cut_dim, counts[0]), kraus_family(rest_dim, counts[1])
+            for scale, complete in ((1.0, True), (1 + 1e-8, False), (1 + 1e-11, True)):
+                pairs = tuple((scale * k, s) for k in ks for s in ss)
+                assert (kron_gram_defect(pairs) <= CHANNEL_ATOL) == complete
+                if complete:
+                    BiseparableChannel(cut, pairs)
+                else:
+                    with pytest.raises(ChannelCompletenessError, match="sum to identity"):
+                        BiseparableChannel(cut, pairs)
+
+    def test_kraus_factors_must_be_square_and_uniform(self):
+        eye2, eye4 = np.eye(2), np.eye(4)
+        for pairs, side in [
+            (((np.ones((2, 3)), eye2),), "cut-side"),
+            (((eye2 / 2, eye2), (eye2 / 2, eye4)), "complement-side"),
+            (((eye2, np.ones(2)),), "complement-side"),
+        ]:
+            with pytest.raises(ValueError, match=f"{side} Kraus operators must be square and uniform"):
+                BiseparableChannel(sub([0], 2), pairs)
+        for terms in [
+            ((eye2, (eye2, np.ones((2, 3)))),),
+            ((eye2 / 2, (eye2, eye2)), (eye2 / 2, (eye2, eye4))),
+        ]:
+            with pytest.raises(ValueError, match="single-party Kraus factors must be square"):
+                KConnectionChannel(sub([0], 3), terms)
+        with pytest.raises(ValueError, match="expected 2 single-party factors, got 1"):
+            KConnectionChannel(sub([0], 3), ((eye2, (eye2,)),))
 
     def test_completeness_violation_rejected(self):
         with pytest.raises(ChannelCompletenessError):

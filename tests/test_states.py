@@ -241,6 +241,16 @@ class TestGraphStates:
         assert st.dims == (2, 4, 2, 2)
         assert schmidt_rank(st, sub([1], 4)) == 4
 
+    def test_party_indices_outside_the_graph_are_refused(self):
+        # Members all negative give n <= 0; the range check names the index.
+        for epr, hyper, bad in [
+            ([(-2, -1, 0.7)], [], r"party index -2 out of range for n=0"),
+            ([], [((-3, -2, -1), 0.7)], r"party index -3 out of range for n=0"),
+            ([(0, -1, 0.7)], [], r"party index -1 out of range for n=1"),
+        ]:
+            with pytest.raises(ValueError, match=bad):
+                graph_from_epr_ghz(epr, hyper)
+
     def test_joint_phases_do_not_change_ranks(self):
         epr = [(0, 1, 0.7)]
         hyper = [((1, 2, 3), 0.9)]
