@@ -16,16 +16,19 @@ the package names ``kcge_parent`` and ``kcge_change``. Then it times
 * ``zoo cross-check``: the joint states of zoo-prep's 10 ``cross-check``
   requests, half with random edge states;
 * ``one zero``: Haar 2^10 and 2^12 with one amplitude set to zero, which
-  sends every cut down the kernel's path for states with zeros.
+  sends every cut down the kernel's path for states with zeros;
+* ``large``: Haar 2^13 and 2^14, sizes that haar-scan leaves out, where
+  building each cut's matrix costs most against the rank kernel.
 
-Haar states never reach that path or the certificate of full rows, so only
-the last three groups show a change there. The zoo-prep states are built
-from the inputs that ``perfbench/workloads.py`` writes at SEED, each side
-with its own ``kcge``. Each repeat builds a fresh state on each side
-(outside the timed region, so facts a state keeps are computed inside it),
-times the two sides back to back with the first side alternating, and
-checks that both reports are equal, REPEATS times per case. Interleaving
-in one process cancels the drift of a shared machine's speed between runs.
+Haar states never reach that path, and at the default cutoff they never
+need the certificate of full rows, so the cutoff, zoo and one-zero groups
+show a change there. The zoo-prep states are built from the inputs that
+``perfbench/workloads.py`` writes at SEED, each side with its own
+``kcge``. Each repeat builds a fresh state on each side (outside the timed
+region, so facts a state keeps are computed inside it), times the two
+sides back to back with the first side alternating, and checks that both
+reports are equal, REPEATS times per case. Interleaving in one process
+cancels the drift of a shared machine's speed between runs.
 
 The result goes to ``BENCH_kernel.json``: both revisions, the machine facts
 that ``bench/pairs.py`` records, per case the best and median milliseconds
@@ -60,6 +63,7 @@ from run import machine_facts  # noqa: E402
 # certificate's margin rho = 2 cutoff outgrows a square block's sigma_min.
 EXTRA_CASES = (((3,) * 8, 1e-4), ((2,) * 14, 1e-6), ((2, 3) * 5, 1e-4))
 ONE_ZERO_DIMS = ((2,) * 10, (2,) * 12)
+LARGE_DIMS = ((2,) * 13, (2,) * 14)
 REPEATS = 15
 SEED = 2100  # of the amplitudes and of both workloads' inputs
 
@@ -158,6 +162,8 @@ def main(argv=None):
         cases += [(group, label, build, 1e-9, 0) for label, build in items]
     cases += [("one zero", "x".join(map(str, dims)), haar_build(rng, dims, zero=True), 1e-9, 0)
               for dims in ONE_ZERO_DIMS]
+    cases += [("large", "x".join(map(str, dims)), haar_build(rng, dims), 1e-9, 0)
+              for dims in LARGE_DIMS]
 
     results = []
     with tempfile.TemporaryDirectory(prefix="kcge-parent-") as parent_tree:

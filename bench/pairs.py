@@ -10,8 +10,11 @@ that runs first alternates from pair to pair. The run length is
 ``BENCH_<workload>.json``: both revisions, the machine facts of the record
 line, every pair's metrics and per-request median latencies, per metric the
 median and quartiles of each side and the number of pairs the change won,
-and per request the median over pairs of each side's median latency.
-Standard library only.
+and per request the median over pairs of each side's median latency. Per
+metric and per request it also writes ``pair_ratio_median``, the median
+over pairs of the within-pair ratio change / parent: the two runs of a
+pair are close in time, so drift of the machine's speed between pairs
+cancels in it. Standard library only.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ def run_once(tree, workload, seed, seconds):
 
 
 def summarize(pairs):
-    """Median, quartiles and wins of the change, per end-to-end metric."""
+    """Median, quartiles and wins of the change, and the median within-pair
+    ratio, per end-to-end metric."""
     out = {}
     for metric in SPEC["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -81,6 +85,7 @@ def summarize(pairs):
             "change_wins": wins,
             "change_losses": losses,
             "median_ratio": side["change"]["median"] / side["parent"]["median"],
+            "pair_ratio_median": statistics.median(c / p for p, c in zip(parent, change)),
             "median_gap_exceeds_parent_iqr": abs(delta) > side["parent"]["q3"] - side["parent"]["q1"],
         }
     return out
@@ -88,16 +93,18 @@ def summarize(pairs):
 
 def summarize_requests(pairs):
     """Per request kind and label: median over pairs of each side's median
-    latency in ms, and their ratio. A request with no successful run on a
-    side in some pair is left out."""
+    latency in ms, their ratio and the median within-pair ratio. A request
+    with no successful run on a side in some pair is left out."""
     out = {}
     for label in pairs[0]["change"]["p50_ms_by_request"]:
         parent = [p["parent"]["p50_ms_by_request"].get(label) for p in pairs]
         change = [p["change"]["p50_ms_by_request"].get(label) for p in pairs]
         if None in parent or None in change:
             continue
+        within = statistics.median(c / p for p, c in zip(parent, change))
         parent, change = statistics.median(parent), statistics.median(change)
-        out[label] = {"parent": parent, "change": change, "ratio": change / parent}
+        out[label] = {"parent": parent, "change": change, "ratio": change / parent,
+                      "pair_ratio_median": within}
     return out
 
 

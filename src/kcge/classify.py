@@ -35,9 +35,9 @@ A subset only asks whether its rank exceeds its threshold t, so
 probe or in the upward scan, is then certified by a shifted Cholesky
 factorization of the Gram matrix of a (t + 1) x (t + 1) submatrix of the
 cut's matrix, or else of t + 1 of its rows (about 1/d of its short side),
-read from the tensor without building the matrix; a failing subset still
-gets its exact rank as ``witness_rank`` (proof in the ``schmidt_rank``
-docstring).
+both slices of the one matrix that ``bipartite_matrix`` lays out; a
+failing subset still gets its exact rank as ``witness_rank`` (proof in
+the ``schmidt_rank`` docstring).
 
 For a pure state rank(I) = rank(I^c): the matrix of I^c is M_I
 transposed. At the top level k = n/2 of even n, the subsets that hold

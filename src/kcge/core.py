@@ -425,25 +425,6 @@ def schmidt(
     )
 
 
-def _leading_rows(view: np.ndarray, axes: int, count: int) -> np.ndarray:
-    """The first ``count`` rows of ``view`` as a matrix whose rows run over
-    its first ``axes`` axes (mixed radix, first axis most significant) and
-    whose columns run over the rest, copying only those rows: whole leading
-    slices of the first axis, then the same prefix of the next slice, one
-    axis down."""
-    rows = np.empty((count, math.prod(view.shape[axes:])), dtype=view.dtype)
-    done = 0
-    while True:
-        block = math.prod(view.shape[1:axes])
-        whole = (count - done) // block
-        if whole:
-            rows[done : done + whole * block].reshape(view[:whole].shape)[...] = view[:whole]
-            done += whole * block
-            if done == count:
-                return rows
-        view, axes = view[whole], axes - 1
-
-
 def _certifies(lead: np.ndarray, shift: float) -> bool:
     """Whether the Cholesky factorization of lead lead^H - shift I completes."""
     gram = lead @ lead.conj().T
@@ -465,14 +446,14 @@ def schmidt_rank(
     min(that number, ``cap``) when a ``cap`` is given; a ``cap`` below 1
     raises ValueError.
 
-    Let M be the cut's matrix oriented to its short side, m x n with
-    m <= n (the complement's parties index the rows when they span the
-    shorter side). For a state with a zero amplitude, M first drops its
-    all-zero rows and columns: they carry no singular value, so the nonzero
-    spectrum and sigma_max stay exact while sparse states (GHZ, Dicke,
-    network states) get a much smaller kernel. A state without one has no
-    zero row or column, and the rows the certificate reads are gathered
-    straight from the tensor, without building M.
+    Let M be the cut's matrix, built once by ``bipartite_matrix`` and
+    oriented to its short side, m x n with m <= n (a transposed view, the
+    complement's parties indexing the rows, when they span the shorter
+    side). For a state with a zero amplitude, M first drops its all-zero
+    rows and columns: they carry no singular value, so the nonzero spectrum
+    and sigma_max stay exact while sparse states (GHZ, Dicke, network
+    states) get a much smaller kernel. A state without one has no zero row
+    or column, and M is the whole matrix.
 
     With c = min(cap, m) (c = m without a cap), rank >= c is certified
     without an SVD. Let B be the first c rows of M and A the first c columns
@@ -520,9 +501,9 @@ def schmidt_rank(
 
     Each certificate that completes is stored as (c, m) in
     ``state.rank_certificates``, keyed by the side of the cut that holds
-    party 0 and by rho. Before any gather, a call on either side of that
-    cut takes want = min(cap, m) (m without a cap) and returns want when
-    the stored c >= want. The matrix of the other side is M^T, with the
+    party 0 and by rho. Before building the matrix, a call on either side
+    of that cut takes want = min(cap, m) (m without a cap) and returns want
+    when the stored c >= want. The matrix of the other side is M^T, with the
     same singular values and, compacted, the same short side m, so the
     stored certificate proves sigma_want(M^T) >= sigma_c(M^T) > rho |M|_F
     just as it does for M. That is the premise of the last bullet for this
@@ -541,31 +522,19 @@ def schmidt_rank(
         want = short if cap is None else min(cap, short)
         if certified >= want:
             return want
+    mat = bipartite_matrix(state, cut)
     if state.nonzero_count < state.total_dim:
-        mat = bipartite_matrix(state, cut)
         rows, cols = mat.any(axis=1), mat.any(axis=0)
         if not (rows.all() and cols.all()):
             mat = mat[np.ix_(rows, cols)]
-        block = mat if mat.shape[0] <= mat.shape[1] else mat.T
-        short, long_ = block.shape
-        c = short if cap is None else min(cap, short)
-        lead = block[:c]
-    else:
-        mat = None
-        members, rest = cut.members, cut.complement
-        short = math.prod(state.dims[p] for p in members)
-        long_ = state.total_dim // short
-        if short > long_:
-            members, rest, short, long_ = rest, members, long_, short
-        c = short if cap is None else min(cap, short)
-        view = state.as_tensor().transpose(members + rest)
-        lead = _leading_rows(view, len(members), c)
+    block = mat if mat.shape[0] <= mat.shape[1] else mat.T
+    short, long_ = block.shape
+    c = short if cap is None else min(cap, short)
+    lead = block[:c]
     shift = (rho**2 + 2 * (state.total_dim + long_ + c) * _EPS) * state.norm_squared
     if _certifies(lead[:, :c], shift) or (long_ > c and _certifies(lead, shift)):
         state.rank_certificates[key] = (c, short)
         return c
-    if mat is None:
-        mat = bipartite_matrix(state, cut)
     sigma = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.count_nonzero(sigma / sigma[0] > tol.rank_cutoff))
     return rank if cap is None else min(rank, cap)
@@ -618,6 +587,8 @@ def expand_to_full(op: np.ndarray, parties: Sequence[int], dims: Sequence[int]) 
     full space, identity on every other party."""
     dims = _checked_dims(dims)
     parties = list(map(operator.index, parties))
+    if not all(0 <= p < len(dims) for p in parties):
+        raise ValueError(f"party indices {parties} out of range for n={len(dims)}")
     if len(set(parties)) != len(parties):
         raise ValueError(f"repeated party in {parties}")
     others = [p for p in range(len(dims)) if p not in set(parties)]
@@ -634,7 +605,10 @@ def expand_to_full(op: np.ndarray, parties: Sequence[int], dims: Sequence[int]) 
 
 def basis_state(dims: Sequence[int], index: int = 0) -> PureState:
     dims = _checked_dims(dims)
-    amps = np.zeros(math.prod(dims), dtype=np.complex128)
+    index, total = operator.index(index), math.prod(dims)
+    if not 0 <= index < total:
+        raise ValueError(f"basis index {index} out of range for total dimension {total}")
+    amps = np.zeros(total, dtype=np.complex128)
     amps[index] = 1.0
     return PureState(dims, amps)
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from kcge import (
     Tolerance,
     apply_local_operator,
     basis_state,
-    classify,
     expand_to_full,
     family_from_dict,
     ghz,
@@ -33,7 +33,6 @@ from kcge.core import (
     HERMITICITY_ATOL,
     _max_asymmetry,
     basis_change_unitary,
-    bipartite_matrix,
     complete_basis,
     guard_total_dim,
 )
@@ -543,12 +542,12 @@ class TestSchmidt:
 
 
 class TestCertificateInputs:
-    """What the rank certificate reads: rows gathered from the tensor and
+    """What the rank certificate reads: slices of the cut's matrix and
     facts computed once per state, each against a direct computation."""
 
     def test_dense_state_rejects_improper_cuts(self):
-        # A state with no zero amplitude never builds the cut's matrix, so
-        # the kernel checks the cut itself.
+        # The kernel checks the cut before it reads the certificate record,
+        # whose key needs the cut's complement.
         st = haar_state((2, 3, 2, 2), RNG)
         assert st.nonzero_count == st.total_dim
         for cut in (PartySubset(tuple(range(4)), 4), PartySubset((0, 1), 5)):
@@ -556,38 +555,55 @@ class TestCertificateInputs:
                 with pytest.raises(ValueError, match="schmidt rank"):
                     schmidt_rank(st, cut, cap=cap)
 
-    def test_gathered_rows_are_the_oriented_matrix_prefix(self, monkeypatch):
+    def test_certified_rows_are_slices_of_the_cuts_matrix(self, monkeypatch):
         # With both factorizations refused, the kernel hands over the
         # leading c x c block and then the leading c rows of the cut's
-        # matrix, oriented to its short side. They must equal slices of
-        # bipartite_matrix for every c from 1 to the short side, on wide,
-        # tall and square cuts with uniform and mixed dims.
+        # matrix, compacted and oriented to its short side. They must equal
+        # slices of the oracle's matrix for every c from 1 to the short
+        # side, on wide, tall and square cuts with uniform and mixed dims,
+        # on dense states, on a Haar state with one zero amplitude and on a
+        # (3, 4) state whose 3 x 4 cut compacts to a tall 3 x 2 block.
+        # Each call lays the cut out once, through bipartite_matrix, and
+        # the SVD that decides after the refusals reads that same matrix.
         import kcge.core as core
 
-        seen = []
+        seen, layouts = [], []
 
         def refuse(lead, shift):
             seen.append(lead.copy())
             return False
 
+        real = core.bipartite_matrix
         monkeypatch.setattr(core, "_certifies", refuse)
-        kinds = set()
-        for dims in [(2,) * 6, (3,) * 4, (2, 3, 2, 3), (3, 2, 4, 2), (2, 2, 3)]:
-            st = haar_state(dims, RNG)
-            assert st.nonzero_count == st.total_dim
+        monkeypatch.setattr(core, "bipartite_matrix", lambda *a: layouts.append(a) or real(*a))
+        corpus = [haar_state(dims, RNG) for dims in
+                  [(2,) * 6, (3,) * 4, (2, 3, 2, 3), (3, 2, 4, 2), (2, 2, 3)]]
+        amps = haar_state((2, 3, 2, 2), RNG).amps.copy()
+        amps[7] = 0.0
+        corpus.append(PureState((2, 3, 2, 2), amps / np.linalg.norm(amps)))
+        amps = np.zeros((3, 4), dtype=complex)
+        amps[:, :2] = RNG.standard_normal((3, 2)) + 1j * RNG.standard_normal((3, 2))
+        corpus.append(PureState((3, 4), amps.reshape(-1) / np.linalg.norm(amps)))
+        kinds, compacted = set(), []
+        for st in corpus:
             for cut in proper_cuts(st.n):
-                mat = bipartite_matrix(st, sub(cut, st.n))
+                mat = cut_matrix(st.amps, st.dims, cut)
+                mat = mat[np.ix_(mat.any(axis=1), mat.any(axis=0))]
+                compacted.append(mat.shape)
                 kinds.add(np.sign(mat.shape[1] - mat.shape[0]))
                 oriented = mat if mat.shape[0] <= mat.shape[1] else mat.T
                 short, long_ = oriented.shape
                 for c in range(1, short + 1):
                     seen.clear()
+                    layouts.clear()
                     schmidt_rank(st, sub(cut, st.n), cap=c)
+                    assert len(layouts) == 1
                     want = [oriented[:c, :c]] + [oriented[:c]] * (long_ > c)
                     assert len(seen) == len(want)
                     for got, expected in zip(seen, want):
                         assert np.array_equal(got, expected)
         assert kinds == {-1, 0, 1}
+        assert compacted[-2:] == [(3, 2), (2, 3)]
 
     def test_state_facts_match_direct_computation(self):
         # nonzero_count, norm_squared and permutation_symmetric, each read
@@ -634,19 +650,6 @@ class TestCertificateInputs:
                     for cap in range(1, min(side, st.total_dim // side) + 2):
                         assert schmidt_rank(st, sub(cut, st.n), tol, cap=cap) == min(want, cap)
 
-    def test_passing_probe_builds_no_bipartite_matrix(self, monkeypatch):
-        # A dense state certifies every passing cut from gathered rows, so
-        # the 70 top-level cuts of a Haar (2,)*8 probe reshape nothing.
-        import kcge.core as core
-
-        calls = []
-        real = core.bipartite_matrix
-        monkeypatch.setattr(core, "bipartite_matrix", lambda *a: calls.append(a) or real(*a))
-        assert classify(haar_state((2,) * 8, RNG)).max_cge_level == 4
-        assert calls == []
-        assert classify(ghz_pair(8)).max_cge_level == 1
-        assert calls
-
 
 class TestApplyLocalOperator:
     def test_identity_noop(self):
@@ -691,6 +694,22 @@ class TestOperatorTools:
         ours = expand_to_full(op, [0, 2], dims)
         theirs = permutation_embed(op, [0, 2], dims)
         assert np.allclose(ours, theirs, atol=1e-12)
+
+    def test_party_and_basis_indices_are_range_checked(self):
+        # A negative or too large index raises ValueError naming it and its
+        # range; a float stays a TypeError.
+        for bad in ([-1], [2], [0, 2]):
+            with pytest.raises(ValueError, match=re.escape(f"party indices {bad} out of range")):
+                expand_to_full(np.eye(2), bad, (2, 3))
+        for index in (-1, 4):
+            with pytest.raises(ValueError, match=f"basis index {index} out of range"):
+                basis_state((2, 2), index)
+        with pytest.raises(TypeError):
+            expand_to_full(np.eye(2), [0.0], (2, 3))
+        with pytest.raises(TypeError):
+            basis_state((2, 2), 1.0)
+        assert np.array_equal(basis_state((2, 2), 3).amps, [0, 0, 0, 1])
+        assert np.array_equal(basis_state((2, 2), np.int64(0)).amps, [1, 0, 0, 0])
 
     def test_expand_unordered_parties(self):
         dims = (2, 2)
