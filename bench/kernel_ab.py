@@ -1,4 +1,4 @@
-"""Library ``classify`` of a parent revision against the working tree, in one process.
+"""Library calls of a parent revision against the working tree, in one process.
 
     python3 bench/kernel_ab.py [--parent HEAD]
 
@@ -24,11 +24,24 @@ Haar states never reach that path, and at the default cutoff they never
 need the certificate of full rows, so the cutoff, zoo and one-zero groups
 show a change there. The zoo-prep states are built from the inputs that
 ``perfbench/workloads.py`` writes at SEED, each side with its own
-``kcge``. Each repeat builds a fresh state on each side (outside the timed
-region, so facts a state keeps are computed inside it), times the two
+``kcge``.
+
+It also times the array JSON encoder, ``cli._json_text``, in two groups:
+
+* ``array json zoo``: every object that zoo-prep's ``generate``,
+  ``disentangle`` and ``decompose`` requests pass to ``_emit_json`` in one
+  cycle at SEED, captured once from the working tree's CLI. Most of their
+  states are sparse, so most pairs are all-zero;
+* ``array json dense``: a normalized complex Gaussian (Haar) vector of
+  2^16 amplitudes and a dense 256x256 complex matrix, with no zero pair.
+
+Each repeat builds a fresh state on each side for ``classify`` (outside the
+timed region, so facts a state keeps are computed inside it), times the two
 sides back to back with the first side alternating, and checks that both
-reports are equal, REPEATS times per case. Interleaving in one process
-cancels the drift of a shared machine's speed between runs.
+results are equal (reports, or JSON texts byte for byte), REPEATS times per
+case.
+Interleaving in one process cancels the drift of a shared machine's speed
+between runs.
 
 The result goes to ``BENCH_kernel.json``: both revisions, the machine facts
 that ``bench/pairs.py`` records, per case the best and median milliseconds
@@ -64,6 +77,8 @@ from run import machine_facts  # noqa: E402
 EXTRA_CASES = (((3,) * 8, 1e-4), ((2,) * 14, 1e-6), ((2, 3) * 5, 1e-4))
 ONE_ZERO_DIMS = ((2,) * 10, (2,) * 12)
 LARGE_DIMS = ((2,) * 13, (2,) * 14)
+ARRAY_COMMANDS = ("generate", "disentangle", "decompose")
+DENSE_SHAPES = ((2**16,), (256, 256))
 REPEATS = 15
 SEED = 2100  # of the amplitudes and of both workloads' inputs
 
@@ -77,6 +92,7 @@ def load(tree: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(name + ".cli")
     return module
 
 
@@ -115,23 +131,53 @@ def zoo_inputs(seed: int):
     return cases
 
 
-def time_case(sides, build, cutoff, label):
-    """Milliseconds of each side's ``classify`` per repeat."""
+def time_case(sides, prepare, text, label):
+    """Milliseconds of each side's call per repeat. ``prepare(kcge)`` builds
+    a side's inputs outside the timed region and returns the call to time;
+    ``text`` of both sides' results must be equal."""
     times = {name: [] for name in sides}
     for i in range(REPEATS):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
-        reports = {}
+        results = {}
         for name in order:
-            kcge = sides[name]
-            state = build(kcge)
-            tol = kcge.Tolerance(rank_cutoff=cutoff)
+            call = prepare(sides[name])
             start = time.perf_counter()
-            report = kcge.classify(state, tol)
+            result = call()
             times[name].append((time.perf_counter() - start) * 1e3)
-            reports[name] = json.dumps(report.to_dict(), sort_keys=True)
-        if len(set(reports.values())) != 1:
-            raise RuntimeError(f"reports differ on {label} at cutoff {cutoff}: {reports}")
+            results[name] = text(result)
+        if len(set(results.values())) != 1:
+            raise RuntimeError(f"results differ on {label}")
     return times
+
+
+def classify_case(build, cutoff):
+    """(prepare, text) of ``classify`` on a fresh state at ``cutoff``."""
+    def prepare(kcge):
+        state, tol = build(kcge), kcge.Tolerance(rank_cutoff=cutoff)
+        return lambda: kcge.classify(state, tol)
+
+    return prepare, lambda report: json.dumps(report.to_dict(), sort_keys=True)
+
+
+def json_case(obj):
+    """(prepare, text) of ``cli._json_text`` on an object ``_emit_json`` takes."""
+    return (lambda kcge: lambda: kcge.cli._json_text(obj, 0)), str
+
+
+def zoo_emits(seed: int):
+    """(label, object) of every object that zoo-prep's array-writing
+    commands pass to ``_emit_json`` in one request cycle."""
+    emitted = []
+    real = workloads.cli._emit_json
+    workloads.cli._emit_json = lambda obj, out: emitted.append(obj)
+    try:
+        with tempfile.TemporaryDirectory(prefix="kcge-ab-") as work:
+            for req in workloads.build("zoo-prep", seed, work):
+                if req.kind in ARRAY_COMMANDS:
+                    req.call()
+                    yield f"{req.kind} {req.label}".strip(), emitted.pop()
+    finally:
+        workloads.cli._emit_json = real
 
 
 def haar_build(rng, dims, zero=False):
@@ -153,24 +199,31 @@ def main(argv=None):
         "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
     }
     rng = np.random.default_rng(SEED)
-    # (group, label, build, rank cutoff, haar-scan weight)
-    cases = [("haar-scan", "x".join(map(str, dims)), haar_build(rng, dims), 1e-9, weight)
-             for dims, weight in haar_mix(SEED)]
-    cases += [("cutoffs", "x".join(map(str, dims)), haar_build(rng, dims), cutoff, 0)
-              for dims, cutoff in EXTRA_CASES]
+    # (group, label, (prepare, text), rank cutoff, haar-scan weight)
+    cases = [("haar-scan", "x".join(map(str, dims)), classify_case(haar_build(rng, dims), 1e-9),
+              1e-9, weight) for dims, weight in haar_mix(SEED)]
+    cases += [("cutoffs", "x".join(map(str, dims)), classify_case(haar_build(rng, dims), cutoff),
+               cutoff, 0) for dims, cutoff in EXTRA_CASES]
     for group, items in zoo_inputs(SEED).items():
-        cases += [(group, label, build, 1e-9, 0) for label, build in items]
-    cases += [("one zero", "x".join(map(str, dims)), haar_build(rng, dims, zero=True), 1e-9, 0)
+        cases += [(group, label, classify_case(build, 1e-9), 1e-9, 0) for label, build in items]
+    cases += [("one zero", "x".join(map(str, dims)),
+               classify_case(haar_build(rng, dims, zero=True), 1e-9), 1e-9, 0)
               for dims in ONE_ZERO_DIMS]
-    cases += [("large", "x".join(map(str, dims)), haar_build(rng, dims), 1e-9, 0)
-              for dims in LARGE_DIMS]
+    cases += [("large", "x".join(map(str, dims)), classify_case(haar_build(rng, dims), 1e-9),
+               1e-9, 0) for dims in LARGE_DIMS]
+    cases += [("array json zoo", label, json_case(obj), None, 0) for label, obj in zoo_emits(SEED)]
+    for shape in DENSE_SHAPES:
+        dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dense /= np.linalg.norm(dense)
+        label = "x".join(map(str, shape))
+        cases.append(("array json dense", label, json_case({"a": dense}), None, 0))
 
     results = []
     with tempfile.TemporaryDirectory(prefix="kcge-parent-") as parent_tree:
         export(parent_rev, parent_tree)
         sides = {"parent": load(parent_tree, "kcge_parent"), "change": load(str(ROOT), "kcge_change")}
-        for group, label, build, cutoff, weight in cases:
-            times = time_case(sides, build, cutoff, label)
+        for group, label, (prepare, text), cutoff, weight in cases:
+            times = time_case(sides, prepare, text, label)
             row = {"group": group, "label": label, "rank_cutoff": cutoff, "weight": weight}
             for name, values in times.items():
                 row[name] = {"best_ms": min(values), "median_ms": statistics.median(values)}

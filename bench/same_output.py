@@ -14,6 +14,13 @@ classify`` on a fixed near-cutoff corpus of even-n states (see
 the same. Prints one line per request that differs and a summary; exits 1
 when any request differs. Standard library only, apart from numpy in the
 corpus.
+
+What it does not catch: a rank kernel that also stores the ranks its SVD
+decided in ``PureState.rank_certificates`` changes no request here, near-cutoff
+corpus included (a kernel that stored ``(rank, min(mat.shape))`` after its
+SVD gave 0 differing requests). Two tests in ``tests/test_classify.py``
+fail on it: ``TestClassify::test_top_level_first_matches_upward_scan`` and
+``TestCertificateRecord::test_a_pass_decided_by_the_svd_is_never_stored``.
 """
 
 from __future__ import annotations

@@ -67,7 +67,6 @@ from .states import (
     cluster_from_epr,
     dicke,
     dicke_cge_formula,
-    dicke_level_exact,
     epr_pair,
     excitation_count,
     family_from_dict,

@@ -86,21 +86,11 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(_json_text(obj, 0) + "\n", out)
 
 
-# json.dumps spells the non-finite floats differently from repr.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json_text(value, level: int) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` as it reads at indent
     ``level``, where dicts may hold complex ndarrays at any depth."""
     if isinstance(value, np.ndarray):
-        # Interleave re and im into one float64 buffer and fill the layout
-        # json.dumps would write with one % (str of a float is its repr).
-        pairs = np.ascontiguousarray(value, dtype=np.complex128).view(np.float64)
-        numbers = pairs.ravel().tolist()
-        if not np.isfinite(pairs).all():
-            numbers = [_NONFINITE.get(r, r) for r in map(repr, numbers)]
-        return _pair_layout(value.shape, level) % tuple(numbers)
+        return _array_text(value, level)
     if isinstance(value, dict) and value:
         pad = "\n" + "  " * (level + 1)
         items = (
@@ -111,16 +101,50 @@ def _json_text(value, level: int) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _pair_layout(shape: tuple, level: int) -> str:
-    """The indent-2 layout of nested lists of ``[re, im]`` pairs of this
-    shape at indent ``level``, with ``%s`` for each number."""
-    pad = "\n" + "  " * (level + 1)
-    if not shape:
-        return "[" + pad + "%s," + pad + "%s\n" + "  " * level + "]"
-    if shape[0] == 0:
+def _array_text(value: np.ndarray, level: int) -> str:
+    """A complex ndarray as indent-2 nested lists of ``[re, im]`` pairs at
+    indent ``level``. Pairs whose two float64 words are zero share one
+    literal; each run of live pairs (``-0.0`` is live) within an innermost
+    list is one text, scattered into place. Each list is one join."""
+    arr = np.ascontiguousarray(np.atleast_1d(value), dtype=np.complex128)
+    words = arr.view(np.uint64).reshape(arr.shape + (2,))
+    live = (words[..., 0] | words[..., 1]) != 0
+    joined = np.zeros_like(live)  # a live pair right after a live pair of its list
+    joined[..., 1:] = live[..., 1:] & live[..., :-1]
+    depth = level + value.ndim
+    texts = np.empty(live.shape, dtype=object)
+    texts.fill(_list_text(["0.0", "0.0"], depth))  # np.full would copy the str per pair
+    texts[live & ~joined] = _live_text(arr, live, joined, depth).split("\0")
+    pieces, keep = texts[~joined].tolist(), ~joined
+    del texts  # so each level's joins free the texts of the level below
+    for axis in reversed(range(value.ndim)):
+        ends = np.cumsum(keep.sum(-1)).tolist()
+        pieces = [_list_text(pieces[a:b], level + axis) for a, b in zip([0] + ends, ends)]
+        keep = np.ones(value.shape[:axis], dtype=bool)
+    return pieces[0]
+
+
+def _live_text(arr: np.ndarray, live: np.ndarray, joined: np.ndarray, depth: int) -> str:
+    """The ``live`` pairs of ``arr`` at indent ``depth`` by one ``%`` over a
+    compact template: a pair ``joined`` to the one before follows it after a
+    comma, any other after a NUL. A helper so the numbers go before the split."""
+    pair = _list_text(["%s", "%s"], depth)
+    glue = np.array(["\0" + pair, ",\n" + "  " * depth + pair], dtype=object)
+    template = "".join(glue[joined[live].view(np.int8)].tolist())[1:]
+    text = template % tuple(arr[live].view(np.float64).tolist())  # str of a float is its repr
+    if np.isfinite(arr).all():
+        return text
+    return text.replace("nan", "NaN").replace("inf", "Infinity")  # no other "n" in text
+
+
+def _list_text(items: list, level: int) -> str:
+    """An indent-2 JSON list at indent ``level`` of already written items."""
+    if not items:
         return "[]"
-    inner = pad + _pair_layout(shape[1:], level + 1)
-    return "[" + ",".join([inner] * shape[0]) + "\n" + "  " * level + "]"
+    pad = "\n" + "  " * (level + 1)
+    parts = ["," + pad] * (2 * len(items) + 1)  # one join: the items are copied once
+    parts[0], parts[1::2], parts[-1] = "[" + pad, items, "\n" + "  " * level + "]"
+    return "".join(parts)
 
 
 def _parse_indices(text: str) -> list[int]:

@@ -122,8 +122,9 @@ def dicke_cge_formula(d: int, s: int) -> int:
     floor(log_d(s + 1)) + 1, evaluated in exact integer arithmetic.
 
     The rank-based classifier is the ground truth and disagrees on a
-    documented parameter set (see compare_dicke_formula); dicke_level_exact
-    gives the classifier's level in closed form.
+    documented parameter set (see compare_dicke_formula);
+    tests/oracles.py's dicke_level_exact gives the classifier's level in
+    closed form.
     """
     if d < 2 or s < 0:
         raise ValueError(f"need d >= 2 and s >= 0, got d={d}, s={s}")
@@ -131,22 +132,6 @@ def dicke_cge_formula(d: int, s: int) -> int:
     while d ** (m + 1) <= s + 1:
         m += 1
     return m + 1
-
-
-def dicke_level_exact(n: int, d: int, s: int) -> int:
-    """Connection level of dicke(n, d, s) from the excitation-sector count.
-
-    Across k parties the state has one Schmidt term per excitation count
-    the cut can hold, rank_k = min(k(d-1), s) - max(0, s - (n-k)(d-1)) + 1,
-    and by permutation symmetry one cut per k decides the level: the
-    largest k <= floor(n/2) with rank_j > d^(j-1) for every j <= k.
-    """
-    level = 0
-    for k in range(1, n // 2 + 1):
-        if min(k * (d - 1), s) - max(0, s - (n - k) * (d - 1)) + 1 <= d ** (k - 1):
-            break
-        level = k
-    return level
 
 
 def basis_reversal(d: int) -> np.ndarray:

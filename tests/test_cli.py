@@ -328,12 +328,21 @@ class TestArrayJson:
         assert self.emitted(capsys, {"unitary": mat}) == legacy_text({"unitary": legacy_matrix(mat)})
         for value in ("-0.0", "1.0", "1e-300", "5e-324", "1e+16", repr(1 / 3)):
             assert f" {value},\n" in text and f" {value}\n" in text
+        for x in amps.tolist():
+            assert self.emitted(capsys, {"z": np.array(x)}) == legacy_text({"z": [x.real, x.imag]})
 
     def test_state_shapes(self, capsys):
+        sparse = np.zeros(24, dtype=complex)
+        sparse[[0, 1, 2, 7, 22, 23]] = [0.5, -0.0, 1e-300, complex(0.0, -0.0), 0.5j, -0.5]
         states = [
             SimpleNamespace(dims=(1,), amps=np.array([1.0 + 0j])),
+            SimpleNamespace(dims=(0,), amps=np.zeros(0, dtype=complex)),
             haar_state((2, 3, 4), np.random.default_rng(7)),
             ghz(3, 2, [2**-0.5, 2**-0.5]),
+            SimpleNamespace(dims=(2, 3, 4), amps=sparse),
+            SimpleNamespace(dims=(2, 3, 4), amps=np.zeros(24, dtype=complex)),
+            SimpleNamespace(dims=(2, 2), amps=np.array([0j, 1.0, complex(-0.0, 0.0), 0j])),
+            SimpleNamespace(dims=(2,), amps=np.array([1e-300 + 0j, 0j])),
         ]
         for st in states:
             text = self.emitted(capsys, {"dims": list(st.dims), "amps": st.amps})
@@ -346,10 +355,16 @@ class TestArrayJson:
             text = self.emitted(capsys, {"matrix": mat})
             assert text == legacy_text({"matrix": legacy_matrix(mat)})
             assert text.count("\n        0.0\n") == mat.size
+            mat[rng.random(shape) < 0.5] = 0.0
+            for sparse in (mat, np.zeros(shape)):
+                text = self.emitted(capsys, {"matrix": sparse})
+                assert text == legacy_text({"matrix": legacy_matrix(sparse)})
 
     def test_non_finite_entries_print_as_json_does(self, capsys):
         nan, inf = float("nan"), float("inf")
-        mat = np.array([[nan, inf, -inf], [complex(1.0, nan), complex(-inf, inf), 0.5]])
+        mat = np.array(
+            [[nan, inf, -inf], [complex(1.0, nan), complex(-inf, inf), 0.5], [0.0, nan, 0.0]]
+        )
         text = self.emitted(capsys, {"m": mat})
         assert text == legacy_text({"m": legacy_matrix(mat)})
         numbers = {line.strip().rstrip(",") for line in text.splitlines()}
@@ -357,11 +372,14 @@ class TestArrayJson:
         assert not numbers & {"nan", "inf", "-inf"}
 
     def test_other_values_go_through_json_dumps(self, capsys):
-        mat = np.array([[0.5 + 0.25j, -1j], [1 / 3, 2.0]])
         other = {"z": [1, {"b": None, "a": True}], "x": 0.1, "s": 'é"\n', "cut": [], "e": {}}
-        obj = {**other, "layer": {"parties": [0, 2], "matrix": mat}}
-        legacy = {**other, "layer": {"parties": [0, 2], "matrix": legacy_matrix(mat)}}
-        assert self.emitted(capsys, obj) == legacy_text(legacy)
+        for mat in (
+            np.array([[0.5 + 0.25j, -1j], [1 / 3, 2.0]]),
+            np.array([[0, 0.5, 0], [complex(0.0, -0.0), 0, 0], [0, 0, 1e-300], [0, 0, 0]]),
+        ):
+            obj = {**other, "layer": {"parties": [0, 2], "matrix": mat}}
+            legacy = {**other, "layer": {"parties": [0, 2], "matrix": legacy_matrix(mat)}}
+            assert self.emitted(capsys, obj) == legacy_text(legacy)
 
 
 class TestArrayCommandBytes:
@@ -387,6 +405,7 @@ class TestArrayCommandBytes:
             {"family": "dicke", "n": 4, "d": 3, "s": 2},
             {"family": "product", "dims": [2, 3, 4]},
             {"family": "network", "graph": CHAIN4},
+            {"family": "w_type", "n": 8, "a": [1 / 3] * 9},
         ]
         for spec in families:
             fam = write_json(tmp_path / "fam.json", spec)
