@@ -1,6 +1,6 @@
 """Peak RSS of zoo-prep cycle by cycle, parent revision against the working tree.
 
-    python3 bench/rss_cycles.py [--parent HEAD] [--cycles 6] [--rounds 3] [--seed 1]
+    python3 bench/rss_cycles.py [--parent HEAD] [--cycles 6]
 
 ``perfbench/run.py`` reads ``peak_rss_mb`` once, after as many request
 cycles as fit in its run. A faster tree completes more cycles, and the peak
@@ -9,11 +9,11 @@ number of cycles run. This script compares the two trees at equal work.
 
 It exports the committed files of the parent revision with ``git archive``,
 as ``bench/pairs.py`` does. Then, for each tree in a fresh interpreter, it
-imports the tree's ``kcge`` from ``src/``, writes zoo-prep's inputs from the
-seed, and runs the request cycle ``--cycles`` times in that process. It
-checks every output and records ``ru_maxrss`` after each cycle. Each round
-runs both trees, and the side that runs first alternates from round to
-round.
+imports the tree's ``kcge`` from ``src/``, writes zoo-prep's inputs at SEED,
+and runs the request cycle ``--cycles`` times in that process. It
+checks every output and records ``ru_maxrss`` after each cycle. Each of the
+ROUNDS rounds runs both trees, and the side that runs first alternates from
+round to round.
 
 The result goes to ``BENCH_rss.json``: both revisions, the machine facts
 that ``bench/pairs.py`` records, every round's per-cycle peaks in MB, and
@@ -35,6 +35,9 @@ from pairs import ROOT, export, git
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import machine_facts  # noqa: E402
+
+ROUNDS = 3
+SEED = 1  # of zoo-prep's inputs
 
 # One run, in a fresh interpreter: peak RSS in MB after each request cycle.
 CYCLES_SNIPPET = """
@@ -68,11 +71,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
     parser.add_argument("--cycles", type=int, default=6)
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.cycles < 1 or args.rounds < 1:
-        parser.error("--cycles and --rounds must be at least 1")
+    if args.cycles < 1:
+        parser.error("--cycles must be at least 1")
     parent_rev = git("rev-parse", args.parent).decode().strip()
     change = {
         "head": git("rev-parse", "HEAD").decode().strip(),
@@ -83,21 +84,21 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="kcge-parent-") as parent_tree:
         export(parent_rev, parent_tree)
         trees = {"parent": parent_tree, "change": str(ROOT)}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             row = {"first": order[0]}
             for side in order:
-                row[side] = peaks(trees[side], args.seed, args.cycles)
+                row[side] = peaks(trees[side], SEED, args.cycles)
             rounds.append(row)
             print(json.dumps(row), file=sys.stderr, flush=True)
 
     median = {side: [statistics.median(r[side][c] for r in rounds) for c in range(args.cycles)]
               for side in ("parent", "change")}
-    facts = machine_facts(SimpleNamespace(workload="zoo-prep", seed=args.seed))
+    facts = machine_facts(SimpleNamespace(workload="zoo-prep", seed=SEED))
     report = {
         "parent_revision": parent_rev,
         "change": change,
-        "seed": args.seed,
+        "seed": SEED,
         "cycles": args.cycles,
         "facts": {k: v for k, v in facts.items() if k not in ("workload", "seed", "git_revision")},
         "median_peak_mb": {
