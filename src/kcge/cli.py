@@ -13,6 +13,7 @@ import gc
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,21 +40,6 @@ from .witness import (
     werner_visibility_threshold,
     werner_zero_crossing,
 )
-
-USAGE = """usage: kcge <command> [options]
-
-commands:
-  generate     build a named-family state and emit its state JSON
-  classify     connection-level report for a state JSON
-  disentangle  cut-local unitary freeing one party
-  decompose    two-layer preparation circuit for a state
-  witness      closed-form witness radii (ghz | w4), optional Werner data
-  fig4         noisy four-party W visibility table as CSV
-  network      graph-level connection bound for a network JSON
-  cross-check  compare the graph bound against the state classifier
-
-run `kcge <command> --help` for options
-"""
 
 
 def _load_json(path: str):
@@ -147,120 +133,60 @@ def _list_text(items: list, level: int) -> str:
     return "".join(parts)
 
 
-def _parse_indices(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _split(text: str, convert) -> list:
+    """The comma-separated entries of ``text``, each through ``convert``."""
+    return [convert(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _tolerance(args) -> Tolerance:
-    return Tolerance(rank_cutoff=args.tol)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="relative rank cutoff")
-    parser.add_argument("--out", default=None, help="write output here instead of stdout")
-
-
-def _cmd_generate(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge generate")
-    parser.add_argument("--family", required=True, help="family spec JSON file")
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--budget-dim", type=int, default=DIM_BUDGET)
-    args = parser.parse_args(argv)
+def _generate(args):
     family = family_from_dict(_load_json(args.family))
     state = family.build(budget=args.budget_dim)
-    _emit_json({"dims": list(state.dims), "amps": state.amps}, args.out)
-    return 0
+    return {"dims": list(state.dims), "amps": state.amps}
 
 
-def _cmd_classify(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge classify")
-    parser.add_argument("--state", required=True, help="state JSON file")
-    parser.add_argument("--max-k", type=int, default=None)
-    parser.add_argument("--budget-dim", type=int, default=DIM_BUDGET)
-    _add_common(parser)
-    args = parser.parse_args(argv)
+def _classify(args):
     state = state_from_dict(_load_json(args.state))
-    report = classify(state, _tolerance(args), max_k=args.max_k, budget_dim=args.budget_dim)
-    _emit_json(report.to_dict(), args.out)
-    return 0
+    tol = Tolerance(rank_cutoff=args.tol)
+    return classify(state, tol, max_k=args.max_k, budget_dim=args.budget_dim).to_dict()
 
 
-def _cmd_disentangle(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge disentangle")
-    parser.add_argument("--state", required=True)
-    parser.add_argument("--cut", required=True, help="comma-separated party indices")
-    parser.add_argument("--free", type=int, required=True)
-    _add_common(parser)
-    args = parser.parse_args(argv)
+def _disentangle(args):
     state = state_from_dict(_load_json(args.state))
-    cut = PartySubset.of(_parse_indices(args.cut), state.n)
-    tol = _tolerance(args)
+    cut = PartySubset.of(_split(args.cut, int), state.n)
+    tol = Tolerance(rank_cutoff=args.tol)
     unitary = build_disentangling_unitary(state, cut, args.free, tol)
     output = apply_local_operator(state, unitary, cut)
     freed = partial_trace(output, PartySubset((args.free,), state.n))
     fidelity = float(np.real(freed.matrix[0, 0]))
     gram = unitary.conj().T @ unitary
-    _emit_json(
-        {
-            "cut": list(cut.members),
-            "free": args.free,
-            "unitary": unitary,
-            "residual": 1.0 - fidelity,
-            "freed_fidelity": fidelity,
-            "unitarity_error": float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
-            "output_state": {"dims": list(output.dims), "amps": output.amps},
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "cut": list(cut.members),
+        "free": args.free,
+        "unitary": unitary,
+        "residual": 1.0 - fidelity,
+        "freed_fidelity": fidelity,
+        "unitarity_error": float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
+        "output_state": {"dims": list(output.dims), "amps": output.amps},
+    }
 
 
-def _cmd_decompose(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge decompose")
-    parser.add_argument("--state", required=True)
-    parser.add_argument("--pivot", type=int, default=0)
-    parser.add_argument("--freed", type=int, default=1)
-    _add_common(parser)
-    args = parser.parse_args(argv)
+def _decompose(args):
     state = state_from_dict(_load_json(args.state))
-    dec = two_depth_decompose(state, _tolerance(args), pivot=args.pivot, freed=args.freed)
+    tol = Tolerance(rank_cutoff=args.tol)
+    dec = two_depth_decompose(state, tol, pivot=args.pivot, freed=args.freed)
     rebuilt = dec.prepare(state.dims)
-    error = float(np.max(np.abs(rebuilt.amps - state.amps)))
-    _emit_json(
-        {
-            "pivot": dec.pivot,
-            "freed": dec.freed,
-            "degenerate": dec.degenerate,
-            "layer1": {
-                "parties": list(dec.layer1_parties.members),
-                "matrix": dec.layer1,
-            },
-            "layer2": {
-                "parties": list(dec.layer2_parties.members),
-                "matrix": dec.layer2,
-            },
-            "reconstruction_error": error,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "pivot": dec.pivot,
+        "freed": dec.freed,
+        "degenerate": dec.degenerate,
+        "layer1": {"parties": list(dec.layer1_parties.members), "matrix": dec.layer1},
+        "layer2": {"parties": list(dec.layer2_parties.members), "matrix": dec.layer2},
+        "reconstruction_error": float(np.max(np.abs(rebuilt.amps - state.amps))),
+    }
 
 
-def _cmd_witness(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge witness")
-    parser.add_argument("family", choices=["ghz", "w4"])
-    parser.add_argument("--a", required=True, help="comma-separated coefficients")
-    parser.add_argument("--n", type=int, default=None, help="party count (ghz)")
-    parser.add_argument("--d", type=int, default=2, help="local dimension (ghz)")
-    parser.add_argument("--level", type=int, default=2, help="witness level (w4)")
-    parser.add_argument("--werner", action="store_true", help="include visibility data")
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
-    coeffs = _parse_floats(args.a)
+def _witness(args):
+    coeffs = _split(args.a, float)
     if args.family == "ghz":
         if args.n is None:
             raise ValueError("ghz witness needs --n")
@@ -282,74 +208,105 @@ def _cmd_witness(argv: list[str]) -> int:
         dim = spec.target.total_dim
         result["werner_visibility_threshold"] = werner_visibility_threshold(spec.radius, dim)
         result["werner_zero_crossing"] = werner_zero_crossing(spec.radius, dim)
-    _emit_json(result, args.out)
-    return 0
+    return result
 
 
-def _cmd_fig4(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge fig4")
-    parser.add_argument("--grid", type=int, default=200, help="number of grid points")
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+def _fig4(args):
     if args.grid < 1:
         raise ValueError("grid must be positive")
     step = (math.pi / 2) / (args.grid + 1)
-    thetas = [(i + 1) * step for i in range(args.grid)]
-    rows = w4_visibility_curves(thetas)
-    lines = ["theta,r2,r1,v2,v1"]
-    for row in rows:
-        lines.append(",".join(repr(x) for x in row))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    rows = w4_visibility_curves([(i + 1) * step for i in range(args.grid)])
+    lines = ["theta,r2,r1,v2,v1"] + [",".join(repr(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _edge_states_from(path: str | None):
-    if path is None:
-        return None
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise ValueError("edge states JSON must be a list of state objects")
-    return [state_from_dict(obj) for obj in data]
+def _network(args):
+    return network_bound(NetworkGraph.from_dict(_load_json(args.graph))).to_dict()
 
 
-def _cmd_network(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge network")
-    parser.add_argument("--graph", required=True, help="network JSON file")
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+def _cross_check(args):
     graph = NetworkGraph.from_dict(_load_json(args.graph))
-    _emit_json(network_bound(graph).to_dict(), args.out)
-    return 0
+    edge_states = None
+    if args.states is not None:
+        data = _load_json(args.states)
+        if not isinstance(data, list):
+            raise ValueError("edge states JSON must be a list of state objects")
+        edge_states = [state_from_dict(obj) for obj in data]
+    tol = Tolerance(rank_cutoff=args.tol)
+    return cross_check(graph, edge_states, tol=tol, budget=args.budget_dim).to_dict()
 
 
-def _cmd_cross_check(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kcge cross-check")
-    parser.add_argument("--graph", required=True)
-    parser.add_argument("--states", default=None, help="edge-state JSON list")
-    parser.add_argument("--budget-dim", type=int, default=DIM_BUDGET)
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    graph = NetworkGraph.from_dict(_load_json(args.graph))
-    record = cross_check(
-        graph,
-        _edge_states_from(args.states),
-        tol=_tolerance(args),
-        budget=args.budget_dim,
-    )
-    _emit_json(record.to_dict(), args.out)
-    return 0
+class Command(NamedTuple):
+    """One subcommand: its line in ``USAGE``, the ``_OPTIONS`` keys of its
+    parser (``main`` adds ``--out`` to every one), and the function that
+    turns the parsed args into the JSON object, or CSV text, to write. The
+    functions call the library through this module's names at call time,
+    so a wrapper put on ``kcge.cli`` sees every call."""
 
+    help: str
+    options: tuple[str, ...]
+    run: Callable
+
+
+# Every option of every command, declared once: flag -> add_argument keywords.
+_OPTIONS = {
+    "--family": dict(required=True, help="family spec JSON file"),
+    "--state": dict(required=True, help="state JSON file"),
+    "--graph": dict(required=True, help="network JSON file"),
+    "--states": dict(help="edge-state JSON list"),
+    "--cut": dict(required=True, help="comma-separated party indices"),
+    "--free": dict(type=int, required=True),
+    "--pivot": dict(type=int, default=0),
+    "--freed": dict(type=int, default=1),
+    "family": dict(choices=["ghz", "w4"]),
+    "--a": dict(required=True, help="comma-separated coefficients"),
+    "--n": dict(type=int, help="party count (ghz)"),
+    "--d": dict(type=int, default=2, help="local dimension (ghz)"),
+    "--level": dict(type=int, default=2, help="witness level (w4)"),
+    "--werner": dict(action="store_true", help="include visibility data"),
+    "--grid": dict(type=int, default=200, help="number of grid points"),
+    "--max-k": dict(type=int),
+    "--tol": dict(type=float, default=1e-9, help="relative rank cutoff"),
+    "--budget-dim": dict(type=int, default=DIM_BUDGET),
+    "--out": dict(help="write output here instead of stdout"),
+}
 
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "classify": _cmd_classify,
-    "disentangle": _cmd_disentangle,
-    "decompose": _cmd_decompose,
-    "witness": _cmd_witness,
-    "fig4": _cmd_fig4,
-    "network": _cmd_network,
-    "cross-check": _cmd_cross_check,
+    "generate": Command(
+        "build a named-family state and emit its state JSON", ("--family", "--budget-dim"), _generate
+    ),
+    "classify": Command(
+        "connection-level report for a state JSON",
+        ("--state", "--max-k", "--budget-dim", "--tol"),
+        _classify,
+    ),
+    "disentangle": Command(
+        "cut-local unitary freeing one party", ("--state", "--cut", "--free", "--tol"), _disentangle
+    ),
+    "decompose": Command(
+        "two-layer preparation circuit for a state",
+        ("--state", "--pivot", "--freed", "--tol"),
+        _decompose,
+    ),
+    "witness": Command(
+        "closed-form witness radii (ghz | w4), optional Werner data",
+        ("family", "--a", "--n", "--d", "--level", "--werner"),
+        _witness,
+    ),
+    "fig4": Command("noisy four-party W visibility table as CSV", ("--grid",), _fig4),
+    "network": Command("graph-level connection bound for a network JSON", ("--graph",), _network),
+    "cross-check": Command(
+        "compare the graph bound against the state classifier",
+        ("--graph", "--states", "--budget-dim", "--tol"),
+        _cross_check,
+    ),
 }
+
+USAGE = (
+    "usage: kcge <command> [options]\n\ncommands:\n"
+    + "".join(f"  {name:<11}  {row.help}\n" for name, row in _COMMANDS.items())
+    + "\nrun `kcge <command> --help` for options\n"
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,12 +320,21 @@ def main(argv: list[str] | None = None) -> int:
     if not argv or argv[0] not in _COMMANDS:
         sys.stderr.write(USAGE)
         return 64
-    handler = _COMMANDS[argv[0]]
+    row = _COMMANDS[argv[0]]
+    # One parser per call: building every command's would cost more than
+    # the parse itself on small requests.
+    parser = argparse.ArgumentParser(prog=f"kcge {argv[0]}", allow_abbrev=False)
+    for flag in (*row.options, "--out"):
+        parser.add_argument(flag, **_OPTIONS[flag])
     try:
-        return handler(argv[1:])
-    except SystemExit as exc:  # argparse errors
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 2 if code != 0 else 0
+        args = parser.parse_args(argv[1:])
+        result = row.run(args)
+        if isinstance(result, str):
+            _emit(result, args.out)
+        else:
+            _emit_json(result, args.out)
+    except SystemExit as exc:  # argparse errors, and --help
+        return 0 if exc.code == 0 else 2
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget refused: {exc}\n")
         return 3
@@ -380,6 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, KeyError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 0
 
 
 def entry() -> None:

@@ -114,6 +114,8 @@ class NetworkGraph:
 
     def degree(self, party: int) -> int:
         """Connectedness degree: number of edge units incident to ``party``."""
+        if not 0 <= party < self.n:
+            raise ValueError(f"party index {party} out of range for n={self.n}")
         return int(self.units[party].sum())
 
     to_dict = plain
@@ -333,16 +335,11 @@ def network_bound(g: NetworkGraph) -> NetworkBoundReport:
 
 @dataclass(frozen=True)
 class CrossCheckRecord:
-    report: NetworkBoundReport
+    network_bound: NetworkBoundReport
     classifier_level: int
     consistent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "network_bound": plain(self.report),
-            "classifier_level": self.classifier_level,
-            "consistent": self.consistent,
-        }
+    to_dict = plain
 
 
 def cross_check(
@@ -362,7 +359,7 @@ def cross_check(
     report = network_bound(g)
     level = classify(joint, tol, budget_dim=budget).max_cge_level
     return CrossCheckRecord(
-        report=report, classifier_level=level, consistent=level <= report.cge_upper_bound
+        network_bound=report, classifier_level=level, consistent=level <= report.cge_upper_bound
     )
 
 

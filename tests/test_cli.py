@@ -3,6 +3,10 @@
 import gc
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -12,6 +16,7 @@ import numpy as np
 import pytest
 
 from kcge import (
+    __version__,
     PartySubset,
     PureState,
     Tolerance,
@@ -28,7 +33,8 @@ from kcge import (
     state_to_dict,
     two_depth_decompose,
 )
-from kcge.cli import _emit_json, main
+from kcge import cli
+from kcge.cli import _COMMANDS, _emit_json, main
 from kcge.network import NetworkGraph
 
 
@@ -770,3 +776,107 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, ["classify"])
         assert code == 2
+
+
+class TestCommandTable:
+    """``_COMMANDS`` is the CLI's one description of itself: each row's
+    parser, the README's synopsis and the parser built per call."""
+
+    @pytest.fixture
+    def full_argv(self, tmp_path):
+        """Per command, an argv that sets every flag of its row, but ``--out``,
+        and exits 0."""
+        half = [2**-0.5, 2**-0.5]
+        fam = write_json(tmp_path / "fam.json", GHZ3_FAMILY)
+        state = write_json(tmp_path / "state.json", state_to_dict(ghz(3, 2, half)))
+        graph = write_json(tmp_path / "g.json", CHAIN4)
+        edges = write_json(tmp_path / "edges.json", [state_to_dict(ghz(2, 2, half))] * 3)
+        tol, budget = ["--tol", "1e-9"], ["--budget-dim", "64"]
+        return {
+            "generate": ["--family", fam, *budget],
+            "classify": ["--state", state, "--max-k", "2", *budget, *tol],
+            "disentangle": ["--state", state, "--cut", "1,2", "--free", "1", *tol],
+            "decompose": ["--state", state, "--pivot", "0", "--freed", "1", *tol],
+            "witness": ["ghz", "--a", "0.6,0.8", "--n", "3", "--d", "2", "--level", "2", "--werner"],
+            "fig4": ["--grid", "2"],
+            "network": ["--graph", graph],
+            "cross-check": ["--graph", graph, "--states", edges, *budget, *tol],
+        }
+
+    @staticmethod
+    def flags(name):
+        return {o for o in _COMMANDS[name].options if o.startswith("--")} | {"--out"}
+
+    def test_every_row_runs_with_every_flag(self, full_argv, tmp_path, capsys):
+        assert list(full_argv) == list(_COMMANDS)
+        for name, argv in full_argv.items():
+            target = tmp_path / f"{name}.out"
+            argv = [name, *argv, "--out", str(target)]
+            assert {a for a in argv if a.startswith("--")} == self.flags(name)
+            code, out, err = run(capsys, argv)
+            assert (code, out, err) == (0, "", "") and target.stat().st_size > 0
+
+    def test_a_flag_prefix_is_refused(self, full_argv, tmp_path, capsys):
+        # "--a", "--n" and "--d" have no prefix but "--", which ends the options.
+        for name, base in full_argv.items():
+            target = tmp_path / f"{name}.out"
+            base = [name, *base, "--out", str(target)]
+            for i, flag in enumerate(base):
+                if not flag.startswith("--") or len(flag) <= 3:
+                    continue
+                prefix = flag[:-1]
+                assert prefix not in self.flags(name)
+                code, out, err = run(capsys, base[:i] + [prefix] + base[i + 1 :])
+                assert code == 2 and out == "", (name, prefix)
+                assert prefix in err and not target.exists()
+
+    def test_every_command_has_help(self, capsys):
+        for name in _COMMANDS:
+            code, out, _ = run(capsys, [name, "--help"])
+            assert code == 0 and out.startswith(f"usage: kcge {name} ")
+            assert "--out" in out
+
+    def test_one_parser_per_call(self, full_argv, monkeypatch, capsys):
+        # The names the benchmark's tracer leaves on kcge.cli for argparse and json.
+        built = []
+
+        class Counting(cli.argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+        monkeypatch.setattr(cli, "json", SimpleNamespace(
+            load=json.load, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError
+        ))
+        for name, argv in full_argv.items():
+            for call, want in (([name, *argv], 0), ([name, "--bogus"], 2)):
+                built.clear()
+                assert run(capsys, call)[0] == want
+                assert built == [f"kcge {name}"]
+
+    def test_readme_synopsis_lists_every_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```\n(kcge generate .*?)```", readme, re.S).group(1)
+        synopsis = [line.split(maxsplit=2) for line in block.splitlines()]
+        assert [name for _kcge, name, _rest in synopsis] == list(_COMMANDS)
+        for _kcge, name, rest in synopsis:
+            assert set(re.findall(r"--[a-z][a-z-]*", rest)) == self.flags(name), name
+
+    def test_module_entry_point_exit_codes(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+        def kcge(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "kcge", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        done = kcge("--version")
+        assert (done.returncode, done.stdout) == (0, f"kcge {__version__}\n")
+        done = kcge("frobnicate")
+        assert done.returncode == 64 and done.stdout == "" and "usage" in done.stderr
+        state = write_json(tmp_path / "s.json", state_to_dict(ghz(3, 2, [2**-0.5, 2**-0.5])))
+        done = kcge("classify", "--state", state, "--budget-dim", "4")
+        assert done.returncode == 3 and done.stdout == ""
+        assert "exceeds budget 4" in done.stderr

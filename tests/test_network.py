@@ -66,6 +66,13 @@ class TestNetworkGraph:
         assert not g.units.flags.writeable
         assert (g.degree(0), g.degree(1), g.units[1, 0]) == (3, 4, 3)
 
+    def test_degree_refuses_a_party_out_of_range(self):
+        g = chain_network(4)
+        assert [g.degree(p) for p in range(4)] == [1, 2, 2, 1]
+        for party in (-1, 4):
+            with pytest.raises(ValueError, match=f"party index {party} out of range for n=4"):
+                g.degree(party)
+
     def test_party_count_is_refused_before_the_unit_matrix(self, monkeypatch):
         def untouched(*_args):
             raise AssertionError("refusal must come before the unit matrix")
@@ -379,13 +386,13 @@ class TestCrossCheck:
     def test_complete_four_reproduces_level_two(self):
         rec = cross_check(complete_network(4))
         assert rec.classifier_level == 2
-        assert rec.report.cge_upper_bound == 2
+        assert rec.network_bound.cge_upper_bound == 2
         assert rec.consistent
 
     def test_two_party_edge(self):
         rec = cross_check(NetworkGraph(2, ((0, 1, 1),)))
         assert rec.classifier_level == 1
-        assert rec.report.cge_upper_bound == 1
+        assert rec.network_bound.cge_upper_bound == 1
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
@@ -411,7 +418,7 @@ class TestCrossCheck:
         monkeypatch.setattr(network_module, "network_bound", lambda graph: low)
         rec = cross_check(g)
         assert rec.classifier_level == 2
-        assert rec.report is low
+        assert rec.network_bound is low
         assert rec.consistent is False
         assert rec.to_dict()["consistent"] is False
 
@@ -457,7 +464,7 @@ class TestMixedDimensions:
         # Unit counts alone fire seed 0 with party 3 at size 2 and bound
         # the level by 1; the dims (2 * 2 inside, 2 * 3 outside) do not.
         rec = cross_check(K4_MIXED, budget=2**19)
-        assert (rec.classifier_level, rec.report.cge_upper_bound, rec.consistent) == (2, 2, True)
+        assert (rec.classifier_level, rec.network_bound.cge_upper_bound, rec.consistent) == (2, 2, True)
         assert crossing_rank_level(4, K4_MIXED.edges) == 2
 
     def test_bound_is_sound_on_every_labelling(self):
