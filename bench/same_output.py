@@ -6,9 +6,11 @@ Exports the committed files of the parent revision with ``git archive``
 into a temporary directory, as ``bench/pairs.py`` does. Then, for that tree
 and for the working tree, in a fresh interpreter each, builds the request
 cycles of both workloads of ``perfbench/workloads.py`` at every seed and
-runs each request that calls ``kcge.cli.main``. For each one it records
-the exit code, a hash of stdout and a hash of every file in the cycle's
-directory that the request created or changed. It then runs ``kcge
+runs each request. For one that calls ``kcge.cli.main`` it records the
+exit code, a hash of stdout and a hash of every file in the cycle's
+directory that the request created or changed; for a library request
+(``werner``, ``channel``) it records a hash of its result, the ``repr`` of
+a float or the bytes of a density matrix. It then runs ``kcge
 classify`` on a fixed near-cutoff corpus of even-n states (see
 ``near_cutoff_states``), at the default cutoff and at 1e-6, and records
 the same. Prints one line per request that differs and a summary; exits 1
@@ -35,6 +37,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from pairs import ROOT, export, git
@@ -43,6 +46,7 @@ WORKLOADS = ("haar-scan", "zoo-prep")
 NEAR_CUTOFF_SEED = 2200
 NEAR_CUTOFF_TOLS = (1e-9, 1e-6)
 NEAR_CUTOFF = "near-cutoff"  # key prefix of the corpus's requests
+LIBRARY = "result"  # the one field of a library request's record
 
 
 def digest(data: bytes) -> str:
@@ -112,9 +116,20 @@ def run_request(argv, work: Path) -> dict:
     }
 
 
+def run_library(call) -> dict:
+    """Hash of the result of one library request: the ``repr`` of a float,
+    or the bytes of a density matrix."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001  (recorded, then compared)
+        return {LIBRARY: f"raised {type(exc).__name__}"}
+    matrix = getattr(value, "matrix", None)
+    return {LIBRARY: digest(repr(float(value)).encode() if matrix is None else matrix.tobytes())}
+
+
 def hash_tree(seeds: list[int]) -> dict[str, dict]:
-    """Run the CLI requests of this checkout, keyed by workload, seed,
-    position in the cycle, kind and label, then the near-cutoff corpus,
+    """Run the CLI and library requests of this checkout, keyed by workload,
+    seed, position in the cycle, kind and label, then the near-cutoff corpus,
     keyed by NEAR_CUTOFF, state label and cutoff. Run with ``src/`` and
     ``perfbench/`` on the import path."""
     import workloads
@@ -128,10 +143,11 @@ def hash_tree(seeds: list[int]) -> dict[str, dict]:
                 for i, req in enumerate(requests):
                     # cli_request wraps ``lambda: run_cli(argv)``.
                     argv = inspect.getclosurevars(req.call).nonlocals.get("argv")
-                    if argv is None:
-                        continue
                     key = f"{workload} seed={seed} #{i} {req.kind} {req.label}".rstrip()
-                    results[key] = run_request(argv, work)
+                    if argv is None:
+                        results[key] = run_library(req.call)
+                    else:
+                        results[key] = run_request(argv, work)
     with tempfile.TemporaryDirectory(prefix="kcge-same-") as work:
         work = Path(work)
         for label, dims, amps in near_cutoff_states():
@@ -175,14 +191,20 @@ def main(argv=None):
 
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
     for key in differ:
-        fields = [f for f in ("exit", "stdout", "files")
+        fields = [f for f in ("exit", "stdout", "files", LIBRARY)
                   if (parent.get(key) or {}).get(f) != (change.get(key) or {}).get(f)]
         print(f"DIFFERS {key}: {', '.join(fields)}")
-    near = sum(k.startswith(NEAR_CUTOFF) for k in change)
-    near_differ = sum(k.startswith(NEAR_CUTOFF) for k in differ)
-    print(f"{len(change) - near} CLI requests against {parent_rev[:12]} (seeds {args.seeds}): "
-          f"{len(differ) - near_differ} differ; {near} near-cutoff classify requests: "
-          f"{near_differ} differ")
+
+    def kind(key):
+        if key.startswith(NEAR_CUTOFF):
+            return NEAR_CUTOFF
+        return LIBRARY if LIBRARY in (change.get(key) or parent.get(key)) else "cli"
+
+    total, differing = Counter(map(kind, change)), Counter(map(kind, differ))
+    print(f"{total['cli']} CLI requests against {parent_rev[:12]} (seeds {args.seeds}): "
+          f"{differing['cli']} differ; {total[NEAR_CUTOFF]} near-cutoff classify requests: "
+          f"{differing[NEAR_CUTOFF]} differ; {total[LIBRARY]} library requests: "
+          f"{differing[LIBRARY]} differ")
     return 1 if differ else 0
 
 

@@ -13,6 +13,8 @@ from .classify import (
     LevelVerdict,
     classify,
     compare_dicke_formula,
+    cross_check,
+    dicke_cge_formula,
     is_k_cge,
     is_k_connection_biseparable,
     subset_threshold,
@@ -56,7 +58,6 @@ from .network import (
     chain_connectivity,
     chain_network,
     complete_network,
-    cross_check,
     cubic_network,
     cycle_network,
     grid_network,
@@ -66,7 +67,6 @@ from .states import (
     StateFamily,
     cluster_from_epr,
     dicke,
-    dicke_cge_formula,
     epr_pair,
     excitation_count,
     family_from_dict,

@@ -70,6 +70,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
+from . import network, states
 from .core import (
     DEFAULT_TOLERANCE,
     DIM_BUDGET,
@@ -81,7 +82,6 @@ from .core import (
     schmidt_rank,
 )
 from .errors import BudgetExceededError
-from .states import dicke, dicke_cge_formula
 
 SUBSET_BUDGET = 10**6
 
@@ -248,6 +248,23 @@ def is_k_connection_biseparable(
     return not is_k_cge(state, k, tol).is_cge
 
 
+def dicke_cge_formula(d: int, s: int) -> int:
+    """Closed-form connection level claimed for Dicke states,
+    floor(log_d(s + 1)) + 1, evaluated in exact integer arithmetic.
+
+    The rank-based classifier is the ground truth and disagrees on a
+    documented parameter set (see compare_dicke_formula);
+    tests/oracles.py's dicke_level_exact gives the classifier's level in
+    closed form.
+    """
+    if d < 2 or s < 0:
+        raise ValueError(f"need d >= 2 and s >= 0, got d={d}, s={s}")
+    m = 0
+    while d ** (m + 1) <= s + 1:
+        m += 1
+    return m + 1
+
+
 @dataclass(frozen=True)
 class DickeFormulaCheck:
     n: int
@@ -280,7 +297,7 @@ def compare_dicke_formula(
     state exceeds level 2. The comparison record reports the disagreement
     instead of hiding it.
     """
-    state = dicke(n, d, s)
+    state = states.dicke(n, d, s)
     level = classify(state, tol).max_cge_level
     formula = dicke_cge_formula(d, s)
     x = s + 1
@@ -293,4 +310,33 @@ def compare_dicke_formula(
         classifier_level=level,
         formula_level=formula,
         exact_power=(x == 1 and s + 1 >= d),
+    )
+
+
+@dataclass(frozen=True)
+class CrossCheckRecord:
+    network_bound: network.NetworkBoundReport
+    classifier_level: int
+    consistent: bool
+
+    to_dict = plain
+
+
+def cross_check(
+    g: network.NetworkGraph,
+    edge_states=None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    budget: int = DIM_BUDGET,
+) -> CrossCheckRecord:
+    """Build the joint network state, classify it, and compare against the
+    graph-level bound. ``consistent`` is False when the classifier exceeds
+    the bound, which would falsify the bound. ``budget`` caps the joint
+    state's total dimension for both the build and the scan. The bound and
+    the build are looked up on their modules at call time, so a wrapper put
+    there sees these calls too."""
+    joint = states.network_joint_state(g, edge_states, budget=budget)
+    report = network.network_bound(g)
+    level = classify(joint, tol, budget_dim=budget).max_cge_level
+    return CrossCheckRecord(
+        network_bound=report, classifier_level=level, consistent=level <= report.cge_upper_bound
     )

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .classify import classify
+from .classify import classify, cross_check
 from .core import (
     DIM_BUDGET,
     PartySubset,
@@ -30,7 +30,7 @@ from .core import (
 )
 from .disentangle import build_disentangling_unitary, two_depth_decompose
 from .errors import BudgetExceededError
-from .network import NetworkGraph, network_bound, cross_check
+from .network import NetworkGraph, network_bound
 from .states import family_from_dict
 from .witness import (
     exact_radius,
@@ -187,12 +187,16 @@ def _decompose(args):
 
 def _witness(args):
     coeffs = _split(args.a, float)
+    ignored = {"ghz": {"--level": args.level}, "w4": {"--n": args.n, "--d": args.d}}
+    for flag, value in ignored[args.family].items():
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to the {args.family} witness")
     if args.family == "ghz":
         if args.n is None:
             raise ValueError("ghz witness needs --n")
-        spec = ghz_witness(args.n, args.d, coeffs)
+        spec = ghz_witness(args.n, 2 if args.d is None else args.d, coeffs)
     else:
-        spec = w4_witness(args.level, coeffs)
+        spec = w4_witness(2 if args.level is None else args.level, coeffs)
     result = {
         "family": args.family,
         "level": spec.level,
@@ -211,9 +215,15 @@ def _witness(args):
     return result
 
 
+# Largest fig4 grid: one CSV row per point, about 1 MB of text at the budget.
+GRID_BUDGET = 10**4
+
+
 def _fig4(args):
     if args.grid < 1:
         raise ValueError("grid must be positive")
+    if args.grid > GRID_BUDGET:
+        raise BudgetExceededError(f"fig4: grid of {args.grid} points exceeds budget {GRID_BUDGET}")
     step = (math.pi / 2) / (args.grid + 1)
     rows = w4_visibility_curves([(i + 1) * step for i in range(args.grid)])
     lines = ["theta,r2,r1,v2,v1"] + [",".join(repr(x) for x in row) for row in rows]
@@ -261,8 +271,8 @@ _OPTIONS = {
     "family": dict(choices=["ghz", "w4"]),
     "--a": dict(required=True, help="comma-separated coefficients"),
     "--n": dict(type=int, help="party count (ghz)"),
-    "--d": dict(type=int, default=2, help="local dimension (ghz)"),
-    "--level": dict(type=int, default=2, help="witness level (w4)"),
+    "--d": dict(type=int, help="local dimension (ghz, default 2)"),
+    "--level": dict(type=int, help="witness level (w4, default 2)"),
     "--werner": dict(action="store_true", help="include visibility data"),
     "--grid": dict(type=int, default=200, help="number of grid points"),
     "--max-k": dict(type=int),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, DIM_BUDGET, Tolerance, _as_int, plain
+from .core import _as_int, plain
 from .errors import BudgetExceededError
 
 # Largest n x n edge-unit matrix a graph may ask for: 2^18 entries (2 MiB
@@ -330,36 +330,6 @@ def network_bound(g: NetworkGraph) -> NetworkBoundReport:
         connectivity_level_bound=max(bisep - 1, 0),
         cge_upper_bound=bound,
         trace=traces,
-    )
-
-
-@dataclass(frozen=True)
-class CrossCheckRecord:
-    network_bound: NetworkBoundReport
-    classifier_level: int
-    consistent: bool
-
-    to_dict = plain
-
-
-def cross_check(
-    g: NetworkGraph,
-    edge_states=None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    budget: int = DIM_BUDGET,
-) -> CrossCheckRecord:
-    """Build the joint network state, classify it, and compare against the
-    graph-level bound. ``consistent`` is False when the classifier exceeds
-    the bound, which would falsify the bound. ``budget`` caps the joint
-    state's total dimension for both the build and the scan."""
-    from .classify import classify
-    from .states import network_joint_state
-
-    joint = network_joint_state(g, edge_states, budget=budget)
-    report = network_bound(g)
-    level = classify(joint, tol, budget_dim=budget).max_cge_level
-    return CrossCheckRecord(
-        network_bound=report, classifier_level=level, consistent=level <= report.cge_upper_bound
     )
 
 

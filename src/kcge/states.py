@@ -117,23 +117,6 @@ def dicke(n: int, d: int, s: int, budget: int = DIM_BUDGET) -> PureState:
     return PureState((d,) * n, amps)
 
 
-def dicke_cge_formula(d: int, s: int) -> int:
-    """Closed-form connection level claimed for Dicke states,
-    floor(log_d(s + 1)) + 1, evaluated in exact integer arithmetic.
-
-    The rank-based classifier is the ground truth and disagrees on a
-    documented parameter set (see compare_dicke_formula);
-    tests/oracles.py's dicke_level_exact gives the classifier's level in
-    closed form.
-    """
-    if d < 2 or s < 0:
-        raise ValueError(f"need d >= 2 and s >= 0, got d={d}, s={s}")
-    m = 0
-    while d ** (m + 1) <= s + 1:
-        m += 1
-    return m + 1
-
-
 def basis_reversal(d: int) -> np.ndarray:
     """Single-party basis reversal |x> -> |d-1-x> (the qubit X gate for d=2)."""
     return np.eye(d, dtype=np.complex128)[::-1].copy()

@@ -5,8 +5,9 @@ SVD machinery: reduced matrices come from explicit index loops, ranks from
 Gram-matrix eigenvalues or from the SVD of the whole bipartite matrix,
 operator embeddings from explicit permutation matrices, path counts from a
 hand-rolled augmenting search, Dicke levels from the excitation-sector
-count, and witness radii from the eigenvalues of einsum-built reduced
-density matrices.
+count, exact ranks of integer matrices from fraction-free elimination,
+and witness radii from the eigenvalues of einsum-built reduced density
+matrices.
 """
 
 import math
@@ -127,6 +128,50 @@ def dicke_level_exact(n, d, s):
         rank = min(k * (d - 1), s) - max(0, s - (n - k) * (d - 1)) + 1
         if rank <= d ** (k - 1):
             break
+        level = k
+    return level
+
+
+def exact_rank(rows):
+    """Rank over Q of an integer matrix, given as equal-length lists of
+    Python ints, by fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968). Each entry below the pivots is a minor of the input, so every
+    division by the previous pivot is exact and nothing is rounded."""
+    rows = [list(r) for r in rows if any(r)]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][col]
+            rows[i] = [(top[col] * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = top[col]
+        rank += 1
+    return rank
+
+
+def exact_level(int_amps, dims):
+    """Connection level of the state whose amplitudes are a common scale
+    times the Python ints ``int_amps`` (party 0 most significant), from
+    ``exact_rank`` of every cut matrix, built by index loops. With exact
+    ranks the levels are nested, so the scan stops at the first failing
+    subset of the lowest failing level."""
+    n = len(dims)
+    support = [(_digits(i, dims), a) for i, a in enumerate(int_amps) if a]
+    level = 0
+    for k in range(1, n // 2 + 1):
+        for cut in combinations(range(n), k):
+            rest = [p for p in range(n) if p not in cut]
+            cut_dims, rest_dims = [dims[p] for p in cut], [dims[p] for p in rest]
+            matrix = [[0] * math.prod(rest_dims) for _ in range(math.prod(cut_dims))]
+            for digits, a in support:
+                row = _index([digits[p] for p in cut], cut_dims)
+                matrix[row][_index([digits[p] for p in rest], rest_dims)] = a
+            if exact_rank(matrix) <= math.prod(cut_dims) // min(cut_dims):
+                return level
         level = k
     return level
 

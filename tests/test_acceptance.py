@@ -24,6 +24,7 @@ from kcge import (
     build_disentangling_unitary,
     classify,
     compare_dicke_formula,
+    cross_check,
     dicke,
     ghz,
     haar_state,
@@ -42,7 +43,6 @@ from kcge.network import (
     network_bound,
     chain_network,
     complete_network,
-    cross_check,
     cycle_network,
     star_network,
 )

@@ -37,7 +37,7 @@ from kcge.core import FULL_RANK_MARGIN
 from kcge.errors import BudgetExceededError
 from kcge.network import chain_network, complete_network, cycle_network, star_network
 
-from oracles import brute_classify, svd_rank
+from oracles import brute_classify, dicke_level_exact, exact_level, exact_rank, svd_rank
 
 RNG = np.random.default_rng(4242)
 
@@ -825,3 +825,42 @@ class TestPermutationSymmetricShortcut:
             for k in range(1, st.n // 2 + 1):
                 assert scanned(loaded, k) == [tuple(range(k))]
             assert classify(loaded).to_dict() == classify(st).to_dict()
+
+
+class TestExactRankOracle:
+    """``classify`` against exact integer ranks on integer-amplitude states.
+    A disagreement here is a finding about the float cutoff, to be recorded
+    as criterion 3 records its table, not tuned away."""
+
+    def test_exact_rank_counts_what_the_float_cutoff_drops(self):
+        near = [[10**12, 10**12], [10**12, 10**12 + 1]]  # sigma_min / sigma_max ~ 2.5e-13
+        assert exact_rank(near) == 2 and svd_rank(np.array(near, float).reshape(-1), (2, 2), (0,)) == 1
+        assert exact_rank([[1, 2, 3], [2, 4, 6], [0, 0, 0]]) == 1
+        assert exact_rank([[0, 0], [0, 0]]) == exact_rank([]) == 0
+
+    def test_every_small_dicke_state(self):
+        # d = 2, 3, 4, n >= 2, d^n <= 2^10, every excitation count s.
+        grid = [
+            (n, d, s)
+            for d in (2, 3, 4)
+            for n in range(2, 11)
+            if d**n <= 2**10
+            for s in range((d - 1) * n + 1)
+        ]
+        assert len(grid) == 154
+        for n, d, s in grid:
+            ints = [int(sum(digits) == s) for digits in product(range(d), repeat=n)]
+            level = classify(dicke(n, d, s)).max_cge_level
+            assert level == exact_level(ints, (d,) * n) == dicke_level_exact(n, d, s), (n, d, s)
+
+    def test_w_states_with_integer_weights(self):
+        for n in range(2, 11):
+            for step in (0, 1, 2):
+                weights = [1 + (p * step) % 3 for p in range(n + 1)]
+                ints = [0] * 2**n
+                for p in range(n):
+                    ints[1 << (n - 1 - p)] = weights[p]
+                ints[-1] = weights[n]
+                a = np.array(weights) / math.sqrt(sum(w * w for w in weights))
+                level = classify(w_type(n, a)).max_cge_level
+                assert level == exact_level(ints, (2,) * n), (n, weights)

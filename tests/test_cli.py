@@ -441,6 +441,8 @@ class TestArrayCommandBytes:
 
 
 class TestWitnessCommands:
+    GHZ_A, W4_A = ["--a", "0.6,0.8"], ["--a", ",".join([repr(5**-0.5)] * 5)]
+
     def test_ghz_witness_with_werner(self, capsys):
         code, out, _ = run(
             capsys,
@@ -502,10 +504,46 @@ class TestWitnessCommands:
         assert abs(r2 - 0.75) < 1e-12
         assert abs(v2 - 13.0 / 17.0) < 1e-12
 
+    def test_flags_of_the_other_family_are_refused(self, tmp_path, capsys):
+        ghz_a, w4_a = self.GHZ_A, self.W4_A
+        target = tmp_path / "w.json"
+        for argv, flag in (
+            (["ghz", "--n", "3", *ghz_a, "--level", "7"], "--level"),
+            (["ghz", "--n", "3", *ghz_a, "--level", "2"], "--level"),
+            (["w4", *w4_a, "--n", "9"], "--n"),
+            (["w4", *w4_a, "--d", "5"], "--d"),
+            (["w4", *w4_a, "--level", "1", "--d", "2"], "--d"),
+        ):
+            code, out, err = run(capsys, ["witness", *argv, "--out", str(target)])
+            assert code == 2 and out == "" and not target.exists(), argv
+            assert f"{flag} does not apply to the {argv[0]} witness" in err
+
+    def test_unset_d_and_level_default_to_two(self, capsys):
+        ghz_a, w4_a = self.GHZ_A, self.W4_A
+        for short, full in (
+            (["ghz", "--n", "3", *ghz_a], ["ghz", "--n", "3", *ghz_a, "--d", "2"]),
+            (["w4", *w4_a], ["w4", *w4_a, "--level", "2"]),
+        ):
+            code, out, _ = run(capsys, ["witness", *short])
+            assert code == 0 and (code, out) == run(capsys, ["witness", *full])[:2]
+
     def test_fig4_deterministic(self, capsys):
         _, a, _ = run(capsys, ["fig4", "--grid", "25"])
         _, b, _ = run(capsys, ["fig4", "--grid", "25"])
         assert a == b
+
+    def test_fig4_grid_over_the_budget_is_refused(self, tmp_path, capsys, monkeypatch):
+        rows = []
+        monkeypatch.setattr(cli, "w4_visibility_curves", lambda thetas: rows.append(thetas))
+        target = tmp_path / "curves.csv"
+        over = cli.GRID_BUDGET + 1
+        code, out, err = run(capsys, ["fig4", "--grid", str(over), "--out", str(target)])
+        assert (code, out, rows) == (3, "", []) and not target.exists()
+        assert f"grid of {over} points exceeds budget {cli.GRID_BUDGET}" in err
+
+    def test_fig4_default_grid_runs(self, capsys):
+        code, out, _ = run(capsys, ["fig4"])
+        assert code == 0 and len(out.strip().split("\n")) == 201
 
 
 class TestNetworkCommands:
@@ -784,41 +822,46 @@ class TestCommandTable:
 
     @pytest.fixture
     def full_argv(self, tmp_path):
-        """Per command, an argv that sets every flag of its row, but ``--out``,
-        and exits 0."""
+        """(command, argv) pairs that exit 0 and, per command, set every flag
+        of its row but ``--out`` between them. The witness takes two runs,
+        since each family refuses the other's flags."""
         half = [2**-0.5, 2**-0.5]
         fam = write_json(tmp_path / "fam.json", GHZ3_FAMILY)
         state = write_json(tmp_path / "state.json", state_to_dict(ghz(3, 2, half)))
         graph = write_json(tmp_path / "g.json", CHAIN4)
         edges = write_json(tmp_path / "edges.json", [state_to_dict(ghz(2, 2, half))] * 3)
         tol, budget = ["--tol", "1e-9"], ["--budget-dim", "64"]
-        return {
-            "generate": ["--family", fam, *budget],
-            "classify": ["--state", state, "--max-k", "2", *budget, *tol],
-            "disentangle": ["--state", state, "--cut", "1,2", "--free", "1", *tol],
-            "decompose": ["--state", state, "--pivot", "0", "--freed", "1", *tol],
-            "witness": ["ghz", "--a", "0.6,0.8", "--n", "3", "--d", "2", "--level", "2", "--werner"],
-            "fig4": ["--grid", "2"],
-            "network": ["--graph", graph],
-            "cross-check": ["--graph", graph, "--states", edges, *budget, *tol],
-        }
+        w4_a = ",".join([repr(5**-0.5)] * 5)
+        return [
+            ("generate", ["--family", fam, *budget]),
+            ("classify", ["--state", state, "--max-k", "2", *budget, *tol]),
+            ("disentangle", ["--state", state, "--cut", "1,2", "--free", "1", *tol]),
+            ("decompose", ["--state", state, "--pivot", "0", "--freed", "1", *tol]),
+            ("witness", ["ghz", "--a", "0.6,0.8", "--n", "3", "--d", "2", "--werner"]),
+            ("witness", ["w4", "--a", w4_a, "--level", "2", "--werner"]),
+            ("fig4", ["--grid", "2"]),
+            ("network", ["--graph", graph]),
+            ("cross-check", ["--graph", graph, "--states", edges, *budget, *tol]),
+        ]
 
     @staticmethod
     def flags(name):
         return {o for o in _COMMANDS[name].options if o.startswith("--")} | {"--out"}
 
     def test_every_row_runs_with_every_flag(self, full_argv, tmp_path, capsys):
-        assert list(full_argv) == list(_COMMANDS)
-        for name, argv in full_argv.items():
-            target = tmp_path / f"{name}.out"
+        assert list(dict(full_argv)) == list(_COMMANDS)
+        seen = {name: set() for name in _COMMANDS}
+        for i, (name, argv) in enumerate(full_argv):
+            target = tmp_path / f"{i}.out"
             argv = [name, *argv, "--out", str(target)]
-            assert {a for a in argv if a.startswith("--")} == self.flags(name)
+            seen[name] |= {a for a in argv if a.startswith("--")}
             code, out, err = run(capsys, argv)
             assert (code, out, err) == (0, "", "") and target.stat().st_size > 0
+        assert seen == {name: self.flags(name) for name in _COMMANDS}
 
     def test_a_flag_prefix_is_refused(self, full_argv, tmp_path, capsys):
         # "--a", "--n" and "--d" have no prefix but "--", which ends the options.
-        for name, base in full_argv.items():
+        for name, base in full_argv:
             target = tmp_path / f"{name}.out"
             base = [name, *base, "--out", str(target)]
             for i, flag in enumerate(base):
@@ -849,7 +892,7 @@ class TestCommandTable:
         monkeypatch.setattr(cli, "json", SimpleNamespace(
             load=json.load, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError
         ))
-        for name, argv in full_argv.items():
+        for name, argv in full_argv:
             for call, want in (([name, *argv], 0), ([name, "--bogus"], 2)):
                 built.clear()
                 assert run(capsys, call)[0] == want

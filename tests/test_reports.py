@@ -5,8 +5,8 @@ import json
 import pytest
 
 from kcge import classify, ghz
-from kcge.classify import compare_dicke_formula
-from kcge.network import NetworkGraph, chain_network, cross_check, network_bound
+from kcge.classify import compare_dicke_formula, cross_check
+from kcge.network import NetworkGraph, chain_network, network_bound
 
 
 def chain_trace(seed, grown):
